@@ -22,6 +22,8 @@
 //! [`LatencyHist::from_json`] is the identity, which the proptest battery
 //! pins.
 
+use crate::json::{self, Json};
+
 /// log2 of the linear sub-buckets per octave.
 pub const SUB_BITS: u32 = 5;
 /// Linear sub-buckets per power-of-two octave (32 → ≤ 1/32 relative error).
@@ -206,9 +208,8 @@ impl LatencyHist {
             .collect()
     }
 
-    /// Rebuild a histogram from its summary fields and sparse buckets (the
-    /// decoding half used by the serve protocol, which parses the JSON with
-    /// its own parser and hands the pieces here for validation).
+    /// Rebuild a histogram from its summary fields and sparse buckets,
+    /// validating them (the last step of [`LatencyHist::from_json_value`]).
     ///
     /// # Errors
     ///
@@ -286,134 +287,49 @@ impl LatencyHist {
         out
     }
 
-    /// Parse the canonical encoding produced by [`LatencyHist::to_json`]
-    /// (whitespace between tokens is tolerated; field order is fixed).
+    /// Parse the encoding produced by [`LatencyHist::to_json`].
     ///
     /// # Errors
     ///
-    /// Any deviation from the canonical shape, or values that fail
-    /// [`LatencyHist::from_sparse`] validation.
+    /// Malformed JSON, or anything [`LatencyHist::from_json_value`] rejects.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        let mut c = Scan::new(s);
-        c.expect('{')?;
-        let count = c.field("count")?;
-        c.expect(',')?;
-        let sum = c.field("sum")?;
-        c.expect(',')?;
-        let min = c.field("min")?;
-        c.expect(',')?;
-        let max = c.field("max")?;
-        c.expect(',')?;
-        c.key("buckets")?;
-        c.expect('[')?;
-        let mut buckets = Vec::new();
-        if !c.eat(']') {
-            loop {
-                c.expect('[')?;
-                let i = c.u64()?;
-                c.expect(',')?;
-                let n = c.u64()?;
-                c.expect(']')?;
-                buckets.push((
-                    usize::try_from(i).map_err(|_| format!("bucket index {i} too large"))?,
-                    n,
-                ));
-                if c.eat(']') {
-                    break;
-                }
-                c.expect(',')?;
-            }
-        }
-        c.expect('}')?;
-        c.end()?;
-        Self::from_sparse(count, sum, min, max, &buckets)
-    }
-}
-
-/// Tiny cursor over the canonical histogram encoding — just enough JSON
-/// for the fixed shape `to_json` emits, so `iconv-api` stays free of any
-/// general JSON dependency.
-struct Scan<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scan<'a> {
-    fn new(s: &'a str) -> Self {
-        Self {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
+        Self::from_json_value(&json::parse(s).map_err(|e| e.to_string())?)
     }
 
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, ch: char) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&(ch as u8)) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{ch}' at byte {}", self.pos))
-        }
-    }
-
-    fn eat(&mut self, ch: char) -> bool {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&(ch as u8)) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn key(&mut self, name: &str) -> Result<(), String> {
-        self.skip_ws();
-        let quoted = format!("\"{name}\"");
-        if self.bytes[self.pos..].starts_with(quoted.as_bytes()) {
-            self.pos += quoted.len();
-            self.expect(':')
-        } else {
-            Err(format!("expected key {quoted} at byte {}", self.pos))
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected integer at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("integer out of range at byte {start}"))
-    }
-
-    fn field(&mut self, name: &str) -> Result<u64, String> {
-        self.key(name)?;
-        self.u64()
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing input at byte {}", self.pos))
-        }
+    /// Decode an already-parsed histogram object
+    /// (`{"count":..,"sum":..,"min":..,"max":..,"buckets":[[i,c],..]}`) —
+    /// the one decoder behind both [`LatencyHist::from_json`] and the
+    /// `stats` response's `service_hist` field.
+    ///
+    /// # Errors
+    ///
+    /// A missing or non-integer field, malformed bucket pairs, or values
+    /// that fail [`LatencyHist::from_sparse`] validation.
+    pub fn from_json_value(v: &Json) -> Result<Self, String> {
+        let h = v.as_obj().ok_or("histogram must be an object")?;
+        let field = |k: &str| {
+            h.get(k)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing integer \"{k}\""))
+        };
+        let buckets = h
+            .get("buckets")
+            .and_then(Json::as_arr)
+            .ok_or("missing buckets")?
+            .iter()
+            .map(|entry| {
+                let pair = entry.as_arr().filter(|p| p.len() == 2)?;
+                Some((usize::try_from(pair[0].as_u64()?).ok()?, pair[1].as_u64()?))
+            })
+            .collect::<Option<Vec<(usize, u64)>>>()
+            .ok_or("malformed buckets")?;
+        Self::from_sparse(
+            field("count")?,
+            field("sum")?,
+            field("min")?,
+            field("max")?,
+            &buckets,
+        )
     }
 }
 

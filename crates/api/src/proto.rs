@@ -366,10 +366,6 @@ pub struct StatsSnapshot {
     pub deadline_expired: u64,
     /// Lines refused with `parse` / `bad-request`.
     pub parse_errors: u64,
-    /// Sum of successful-request latencies, microseconds.
-    pub latency_us_total: u64,
-    /// Worst successful-request latency, microseconds.
-    pub latency_us_max: u64,
     /// Worker-pool size.
     pub workers: u64,
     /// `batch` requests accepted (each contributes its items to
@@ -403,17 +399,17 @@ pub struct StatsSnapshot {
     pub tune_cached: u64,
     /// Service-time histogram over successful requests, microseconds,
     /// measured from request receipt to response enqueue. Its `count()`
-    /// equals `requests` at any quiescent point (the same samples the
-    /// `latency_us_total` / `latency_us_max` scalars summarize), and fleet
-    /// merges add it bucket-wise — exact, not approximated.
+    /// equals `requests` at any quiescent point; its `sum()` and `max()`
+    /// are the total and worst service time. Fleet merges add it
+    /// bucket-wise — exact, not approximated.
     pub service_hist: LatencyHist,
 }
 
 impl StatsSnapshot {
     /// Merge another snapshot into this one, the way the `routed` front-end
-    /// aggregates its backends: counters sum; `latency_us_max` takes the
-    /// worst backend; capacities and populations sum (the fleet's cache is
-    /// the union of its backends' shards).
+    /// aggregates its backends: counters sum; the service-time histograms
+    /// add bucket-wise; capacities and populations sum (the fleet's cache
+    /// is the union of its backends' shards).
     pub fn merge(&mut self, other: &StatsSnapshot) {
         let Self {
             requests,
@@ -427,8 +423,6 @@ impl StatsSnapshot {
             busy_rejections,
             deadline_expired,
             parse_errors,
-            latency_us_total,
-            latency_us_max,
             workers,
             batches,
             batch_items,
@@ -454,8 +448,6 @@ impl StatsSnapshot {
         *busy_rejections += other.busy_rejections;
         *deadline_expired += other.deadline_expired;
         *parse_errors += other.parse_errors;
-        *latency_us_total += other.latency_us_total;
-        *latency_us_max = (*latency_us_max).max(other.latency_us_max);
         *workers += other.workers;
         *batches += other.batches;
         *batch_items += other.batch_items;
@@ -1550,8 +1542,7 @@ pub fn stats_body(s: &StatsSnapshot) -> String {
         "\"ok\":true,\"stats\":{{\"requests\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\
          \"cache_entries\":{},\"cache_capacity\":{},\"queue_depth\":{},\"in_flight\":{},\
          \"busy_rejections\":{},\"deadline_expired\":{},\"parse_errors\":{},\
-         \"latency_us_total\":{},\"latency_us_max\":{},\"workers\":{},\
-         \"batches\":{},\"batch_items\":{},\"batch_hits\":{},\"batch_misses\":{},\
+         \"workers\":{},\"batches\":{},\"batch_items\":{},\"batch_hits\":{},\"batch_misses\":{},\
          \"batch_errors\":{},\"worker_crashes\":{},\"faults_injected\":{},\
          \"faults_observed\":{},\"tunes\":{},\"tune_searches\":{},\
          \"tune_cached\":{},\"service_hist\":{}}}",
@@ -1566,8 +1557,6 @@ pub fn stats_body(s: &StatsSnapshot) -> String {
         s.busy_rejections,
         s.deadline_expired,
         s.parse_errors,
-        s.latency_us_total,
-        s.latency_us_max,
         s.workers,
         s.batches,
         s.batch_items,
@@ -1605,6 +1594,15 @@ pub fn shards_body(shards: &[ShardStat]) -> String {
 /// Body of the summary line that closes a batch's response stream.
 pub fn batch_summary_body(items: u64, errors: u64) -> String {
     format!("\"ok\":true,\"batch\":{{\"items\":{items},\"errors\":{errors}}}")
+}
+
+/// The whole response to a batch of `n` items refused as one unit (a
+/// draining server or router): `n` item lines carrying `body`, then a
+/// summary counting every item as an error.
+pub fn batch_refusal(id: Option<&str>, n: usize, body: &str) -> Vec<String> {
+    let mut lines: Vec<String> = (0..n).map(|i| finish_item_response(id, i, body)).collect();
+    lines.push(finish_response(id, &batch_summary_body(n as u64, n as u64)));
+    lines
 }
 
 /// Wrap a response body into one batch-item wire line: like
@@ -1674,37 +1672,17 @@ fn need_bits(
         .ok_or_else(|| RequestError::bad(format!("response missing f64-bits \"{key}\"")))
 }
 
-/// Decode a latency histogram object (`{"count":..,"sum":..,"min":..,
-/// "max":..,"buckets":[[i,c],..]}`); the sparse pieces are validated and
-/// rebuilt by [`LatencyHist::from_sparse`].
+/// Decode the latency histogram object under `key`
+/// ([`LatencyHist::from_json_value`]).
 fn need_hist(
     obj: &std::collections::BTreeMap<String, Json>,
     key: &str,
 ) -> Result<LatencyHist, RequestError> {
     let h = obj
         .get(key)
-        .and_then(Json::as_obj)
         .ok_or_else(|| RequestError::bad(format!("response missing histogram \"{key}\"")))?;
-    let buckets = h
-        .get("buckets")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| RequestError::bad(format!("histogram \"{key}\" missing buckets")))?
-        .iter()
-        .map(|entry| {
-            let pair = entry.as_arr().filter(|p| p.len() == 2)?;
-            let i = usize::try_from(pair[0].as_u64()?).ok()?;
-            Some((i, pair[1].as_u64()?))
-        })
-        .collect::<Option<Vec<(usize, u64)>>>()
-        .ok_or_else(|| RequestError::bad(format!("histogram \"{key}\" has malformed buckets")))?;
-    LatencyHist::from_sparse(
-        need_u64(h, "count")?,
-        need_u64(h, "sum")?,
-        need_u64(h, "min")?,
-        need_u64(h, "max")?,
-        &buckets,
-    )
-    .map_err(|e| RequestError::bad(format!("histogram \"{key}\": {e}")))
+    LatencyHist::from_json_value(h)
+        .map_err(|e| RequestError::bad(format!("histogram \"{key}\": {e}")))
 }
 
 /// Parse one response line.
@@ -1785,8 +1763,6 @@ pub fn parse_response(line: &str) -> Result<Response, RequestError> {
             busy_rejections: need_u64(s, "busy_rejections")?,
             deadline_expired: need_u64(s, "deadline_expired")?,
             parse_errors: need_u64(s, "parse_errors")?,
-            latency_us_total: need_u64(s, "latency_us_total")?,
-            latency_us_max: need_u64(s, "latency_us_max")?,
             workers: need_u64(s, "workers")?,
             batches: need_u64(s, "batches")?,
             batch_items: need_u64(s, "batch_items")?,
@@ -2348,7 +2324,6 @@ mod tests {
             requests: 10,
             hits: 7,
             misses: 3,
-            latency_us_max: 40,
             workers: 4,
             cache_capacity: 1000,
             ..StatsSnapshot::default()
@@ -2357,15 +2332,18 @@ mod tests {
             requests: 5,
             hits: 1,
             misses: 4,
-            latency_us_max: 90,
             workers: 2,
             cache_capacity: 1000,
             ..StatsSnapshot::default()
         };
+        a.service_hist.record(40);
+        let mut b = b;
+        b.service_hist.record(90);
         a.merge(&b);
         assert_eq!(a.requests, 15);
         assert_eq!(a.hits + a.misses, a.requests);
-        assert_eq!(a.latency_us_max, 90);
+        assert_eq!(a.service_hist.max(), 90);
+        assert_eq!(a.service_hist.sum(), 130);
         assert_eq!(a.workers, 6);
         assert_eq!(a.cache_capacity, 2000);
     }

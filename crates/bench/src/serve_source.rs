@@ -20,7 +20,7 @@ use iconv_api::Work;
 use iconv_serve::protocol::encode_estimate;
 use iconv_serve::{Client, Estimate, EstimateRequest, Response, MAX_SWEEP_ITEMS};
 
-use crate::summary::{CycleCount, CycleSource};
+use iconv_tune::{CycleCount, CycleSource};
 
 /// Estimate source speaking the serve protocol.
 pub struct ServeSource {

@@ -6,11 +6,7 @@ use iconv_api::{GpuHwSpec, TpuHwSpec, Work};
 use iconv_gpusim::{GpuAlgo, GpuConfig};
 use iconv_models::{mean_abs_pct_error, TpuMeasuredProxy};
 use iconv_tpusim::SimMode;
-
-// The estimate-source vocabulary lives in `iconv-tune` now (the tuner, the
-// bench runners, and the serve engine all measure through it); these
-// re-exports keep the historical `iconv_bench::summary::*` paths alive.
-pub use iconv_tune::{CycleCount, CycleSource, InProcessSource};
+use iconv_tune::{CycleSource, InProcessSource};
 
 /// One reproduced artifact: our headline number next to the paper's.
 #[derive(Debug, Clone)]

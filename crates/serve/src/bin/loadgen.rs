@@ -193,7 +193,7 @@ fn run_pass(
         mean_latency_us: if served == 0 {
             0.0
         } else {
-            (after.latency_us_total - before.latency_us_total) as f64 / served as f64
+            (after.service_hist.sum() - before.service_hist.sum()) as f64 / served as f64
         },
     }
 }
@@ -484,7 +484,7 @@ fn write_report(
         final_stats.evictions,
         final_stats.cache_entries,
         final_stats.busy_rejections,
-        final_stats.latency_us_max,
+        final_stats.service_hist.max(),
         final_stats.batches,
         final_stats.batch_items,
         final_stats.batch_hits,

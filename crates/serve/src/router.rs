@@ -59,15 +59,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use iconv_api::HashRing;
+use iconv_api::{canonical_key, HashRing};
 use iconv_faults::{FaultPoint, FaultSite};
 
 use crate::client::{Client, RetryPolicy};
-use crate::key;
 use crate::protocol::{
-    self, batch_summary_body, encode_batch, encode_simple, error_body, finish_item_response,
-    finish_response, pong_body, shards_body, shutdown_body, stats_body, ErrorKind, Request,
-    Response, ShardStat, StatsSnapshot, Work,
+    self, batch_refusal, batch_summary_body, encode_batch, encode_simple, error_body,
+    finish_item_response, finish_response, pong_body, shards_body, shutdown_body, stats_body,
+    ErrorKind, EstimateRequest, Request, Response, ShardStat, StatsSnapshot, Work,
 };
 
 /// Default virtual nodes per backend on the ring.
@@ -609,7 +608,7 @@ fn handle_batch(
     deadline_ms: Option<u64>,
 ) -> Vec<String> {
     let n = items.len();
-    let keys: Vec<String> = items.iter().map(key::canonical_key).collect();
+    let keys: Vec<String> = items.iter().map(canonical_key).collect();
     let mut bodies: Vec<Option<String>> = (0..n).map(|_| None).collect();
     let mut unresolved: Vec<usize> = (0..n).collect();
     while !unresolved.is_empty() {
@@ -766,65 +765,55 @@ fn handle_request(line: &str, shared: &RouterShared, conns: &mut [Option<Client>
             shared.request_shutdown();
             vec![finish_response(id.as_deref(), &shutdown_body())]
         }
-        Request::Estimate(req) => {
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                return vec![finish_response(
-                    req.id.as_deref(),
-                    &error_body(ErrorKind::ShuttingDown, "router is draining"),
-                )];
-            }
-            let cache_key = key::canonical_key(&req.work);
-            match forward_raw(shared, conns, &cache_key, line) {
-                Some(response) => vec![response],
-                None => vec![finish_response(
-                    req.id.as_deref(),
-                    &error_body(ErrorKind::Busy, "no healthy backend"),
-                )],
-            }
+        Request::Estimate(EstimateRequest { id, work, .. }) => {
+            forward_single(shared, conns, line, id.as_deref(), &work)
         }
+        // Keyed by the layer's *tune* key, so one backend owns a layer's
+        // search, its tune-store entry, and every `"hw":"tuned"` estimate
+        // derived from it — the affinity the plain `tune` op gets.
         Request::TunedEstimate {
             id, shape, target, ..
-        } => {
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                return vec![finish_response(
-                    id.as_deref(),
-                    &error_body(ErrorKind::ShuttingDown, "router is draining"),
-                )];
-            }
-            // Key the forward by the layer's *tune* key, so one backend
-            // owns a layer's search, its tune-store entry, and every
-            // `"hw":"tuned"` estimate derived from it — the same affinity
-            // the plain `tune` op gets through its canonical key.
-            let cache_key = key::canonical_key(&Work::Tune { shape, target });
-            match forward_raw(shared, conns, &cache_key, line) {
-                Some(response) => vec![response],
-                None => vec![finish_response(
-                    id.as_deref(),
-                    &error_body(ErrorKind::Busy, "no healthy backend"),
-                )],
-            }
-        }
+        } => forward_single(
+            shared,
+            conns,
+            line,
+            id.as_deref(),
+            &Work::Tune { shape, target },
+        ),
         Request::Batch {
             id,
             items,
             deadline_ms,
         } => {
             if shared.shutting_down.load(Ordering::SeqCst) {
-                // Mirror `served`'s refusal shape: n error items + summary.
-                let n = items.len();
                 let body = error_body(ErrorKind::ShuttingDown, "router is draining");
-                let mut out: Vec<String> = (0..n)
-                    .map(|i| finish_item_response(id.as_deref(), i, &body))
-                    .collect();
-                out.push(finish_response(
-                    id.as_deref(),
-                    &batch_summary_body(n as u64, n as u64),
-                ));
-                return out;
+                return batch_refusal(id.as_deref(), items.len(), &body);
             }
             handle_batch(shared, conns, id.as_deref(), &items, deadline_ms)
         }
     }
+}
+
+/// Forward a single estimate line verbatim to the backend that owns
+/// `route`'s canonical key (or the next healthy one on its failover
+/// order). Draining routers and an all-unhealthy fleet answer with typed
+/// errors.
+fn forward_single(
+    shared: &RouterShared,
+    conns: &mut [Option<Client>],
+    line: &str,
+    id: Option<&str>,
+    route: &Work,
+) -> Vec<String> {
+    if shared.shutting_down.load(Ordering::SeqCst) {
+        return vec![finish_response(
+            id,
+            &error_body(ErrorKind::ShuttingDown, "router is draining"),
+        )];
+    }
+    let response = forward_raw(shared, conns, &canonical_key(route), line)
+        .unwrap_or_else(|| finish_response(id, &error_body(ErrorKind::Busy, "no healthy backend")));
+    vec![response]
 }
 
 #[cfg(test)]

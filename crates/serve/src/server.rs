@@ -5,11 +5,11 @@
 //!
 //! * One acceptor thread polls a non-blocking listener so shutdown never
 //!   hangs in `accept`.
-//! * Each connection gets a **reader** thread (parses request lines,
-//!   serves cache hits inline, dispatches misses to the shared
-//!   [`WorkerPool`]) and a **writer** thread (reassembles responses into
-//!   request order by sequence number, so pipelined clients always read
-//!   answers in the order they asked).
+//! * Each connection gets a **reader** thread (parses request lines and
+//!   runs admission: cache hits are answered inline, misses go to the
+//!   shared [`WorkerPool`]) and a **writer** thread (reassembles responses
+//!   into request order by sequence number, so pipelined clients always
+//!   read answers in the order they asked).
 //! * The pool is the only place simulations run; its bounded queue is the
 //!   overload valve — a full queue turns into an immediate `busy` error,
 //!   never a blocked reader.
@@ -31,32 +31,42 @@
 //!
 //! `hits` and `misses` live in the cache's per-shard counters (the
 //! `shards` op exposes them; their sums are the global `stats` numbers).
-//! A hit is counted at each response-delivery point: the reader's inline
-//! lookup, a dedup follower inside a batch, or a single-flight follower
-//! when its leader completes — followers' bytes came from the
-//! cache-to-be, so they are hits. A miss is counted exactly once per
-//! simulation actually run, by the leader. Rejections (busy / deadline /
-//! parse / bad-request / shutting-down) increment their own counters and
-//! are excluded from `requests`; a follower whose leader fails inherits
-//! the same typed error and is accounted as the same kind of rejection.
-//! So `hits + misses == requests` holds exactly at any quiescent point —
-//! the `stats` RPC invariant the determinism test pins.
+//! Every delivered item is counted in one place, `Run::settle`, whichever
+//! path delivered it. A miss is counted exactly once per simulation
+//! actually run, by the leader; every other success — the reader's inline
+//! lookup, a dedup follower, a single-flight follower whose bytes came
+//! from the cache-to-be — is a hit. Rejections (busy / deadline / parse /
+//! bad-request / shutting-down) increment their own counters and are
+//! excluded from `requests`; a follower whose leader fails inherits the
+//! same typed error and is accounted as the same kind of rejection. So
+//! `hits + misses == requests` holds exactly at any quiescent point — the
+//! `stats` RPC invariant the determinism test pins. Every tune answer,
+//! including the resolve step of a `"hw":"tuned"` conv, is counted once as
+//! a search or as cached, so `tunes == tune_searches + tune_cached`.
 //!
-//! # Batch execution
+//! # One request pipeline
 //!
-//! A `batch` request occupies a *span* of sequence numbers: item `i` of an
-//! `n`-item batch is assigned `seq + i` and the summary line `seq + n`, so
-//! the writer's ordinary seq reassembly streams items back in item order,
-//! interleaving nothing else into the span. Per-item cache hits are
-//! answered inline by the reader without consuming a worker slot;
-//! duplicate canonical keys within one batch collapse onto a single
-//! simulation (the first item is the miss, followers are hits). The misses
-//! become one shared `BatchRun` work list driven by at most
-//! `batch_chunk` runner jobs; each runner re-enqueues itself at the *back*
-//! of the pool FIFO after every simulation, so a giant sweep cannot starve
-//! interleaved single requests or other batches. The batch counters keep
-//! the invariant `batch_hits + batch_misses + batch_errors == batch_items`
-//! at any quiescent point.
+//! A single `conv`/`gemm`/`tune`, a `"hw":"tuned"` conv and a `batch` all
+//! become one `Run`: an item list plus a framing. A batch occupies a
+//! *span* of sequence numbers — item `i` of an `n`-item batch answers at
+//! `seq + i` and the summary at `seq + n` — so the writer's ordinary seq
+//! reassembly streams items back in item order. A single is a batch of
+//! one framed as a plain response line at `seq`: no item tag, no summary,
+//! batch counters untouched.
+//!
+//! Admission runs on the reader: drain refusal, canonical key, inline
+//! cache hit (no worker slot), intra-request dedup (the first item is the
+//! miss, duplicates are hits), then single-flight join or lead. Led
+//! simulations form the request's work list, drained by at most
+//! `batch_chunk` runner jobs; a runner re-enqueues its continuation at the
+//! *back* of the pool FIFO only while the list is non-empty, so a giant
+//! sweep cannot starve interleaved requests and a single miss costs
+//! exactly one pool job. A `"hw":"tuned"` conv resolves first: from the
+//! tune store, or by leading or joining the ordinary `tune` flight on the
+//! layer's tune key, after which the item re-enters admission with the
+//! concrete work the winner denotes. The batch counters keep
+//! `batch_hits + batch_misses + batch_errors == batch_items` at any
+//! quiescent point.
 //!
 //! # Fault seams
 //!
@@ -77,7 +87,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -85,12 +95,14 @@ use iconv_faults::{FaultPoint, FaultSite, Injection};
 use iconv_par::{Job, PoolBusy, WorkerPool};
 use iconv_trace::TraceSink;
 
+use iconv_api::canonical_key;
+
 use crate::cache::{Admission, Body, FlightOutcome, StripedCache};
 use crate::engine;
-use crate::key;
 use crate::protocol::{
-    self, batch_summary_body, error_body, finish_item_response, finish_response, pong_body,
-    shards_body, shutdown_body, stats_body, ErrorKind, LatencyHist, Request, StatsSnapshot, Work,
+    self, batch_refusal, batch_summary_body, error_body, finish_item_response, finish_response,
+    pong_body, shards_body, shutdown_body, stats_body, ErrorKind, LatencyHist, Request,
+    StatsSnapshot, TuneEstimate, Work,
 };
 
 /// Server tunables.
@@ -145,8 +157,6 @@ struct Counters {
     busy: AtomicU64,
     deadline: AtomicU64,
     parse_errors: AtomicU64,
-    latency_us_total: AtomicU64,
-    latency_us_max: AtomicU64,
     batches: AtomicU64,
     batch_items: AtomicU64,
     batch_hits: AtomicU64,
@@ -184,13 +194,24 @@ impl Counters {
     /// with requests of the same shard.
     fn record_latency(&self, since: Instant, stripe: usize) {
         let us = since.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        self.latency_us_total.fetch_add(us, Ordering::Relaxed);
-        self.latency_us_max.fetch_max(us, Ordering::Relaxed);
         let slot = stripe % self.service_hists.len();
         self.service_hists[slot]
             .lock()
             .expect("latency stripe poisoned")
             .record(us);
+    }
+
+    /// Count one tune answered: a search that ran, or one served from the
+    /// cache, the tune store or a joined flight. Every tune delivery goes
+    /// through here, which keeps `tunes == tune_searches + tune_cached`.
+    fn count_tune(&self, searched: bool) {
+        self.tunes.fetch_add(1, Ordering::Relaxed);
+        let ledger = if searched {
+            &self.tune_searches
+        } else {
+            &self.tune_cached
+        };
+        ledger.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Merge every stripe into one histogram (the `stats` view).
@@ -259,8 +280,6 @@ impl Shared {
             busy_rejections: c.busy.load(Ordering::Relaxed),
             deadline_expired: c.deadline.load(Ordering::Relaxed),
             parse_errors: c.parse_errors.load(Ordering::Relaxed),
-            latency_us_total: c.latency_us_total.load(Ordering::Relaxed),
-            latency_us_max: c.latency_us_max.load(Ordering::Relaxed),
             workers: self.workers as u64,
             batches: c.batches.load(Ordering::Relaxed),
             batch_items: c.batch_items.load(Ordering::Relaxed),
@@ -290,8 +309,6 @@ impl Shared {
         sink.counter("serve.busy_rejections", s.busy_rejections);
         sink.counter("serve.deadline_expired", s.deadline_expired);
         sink.counter("serve.parse_errors", s.parse_errors);
-        sink.counter("serve.latency_us_total", s.latency_us_total);
-        sink.counter("serve.latency_us_max", s.latency_us_max);
         sink.counter("serve.batch.batches", s.batches);
         sink.counter("serve.batch.items", s.batch_items);
         sink.counter("serve.batch.hits", s.batch_hits);
@@ -636,266 +653,406 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, tx: &Sender<(u64, String
     }
 }
 
-/// One deduplicated simulation owed to a batch: the work, its cache key,
-/// and every item index that asked for it (first = miss, rest = hits).
-struct PendingSim {
+/// One admitted unit of a request: the item line it answers and its
+/// work. A `resolve` item is a `"hw":"tuned"` conv's tune step: its work
+/// is the layer's `tune`, and its answer is not sent but turned into the
+/// concrete work the winner denotes, which re-enters admission as the
+/// same item.
+#[derive(Clone, Copy)]
+struct Item {
+    index: usize,
     work: Work,
-    key: String,
-    items: Vec<usize>,
+    resolve: bool,
 }
 
-/// Shared state for one in-flight batch: the un-simulated work list, how
-/// many item lines are still owed, and where the summary line goes.
-struct BatchRun {
+impl Item {
+    fn answer(index: usize, work: Work) -> Self {
+        Self {
+            index,
+            work,
+            resolve: false,
+        }
+    }
+
+    /// The concrete estimate a resolve item becomes once its layer's
+    /// winning configuration is known.
+    fn resolved(self, est: &TuneEstimate) -> Self {
+        let Work::Tune { shape, .. } = self.work else {
+            unreachable!("only a layer's tune step resolves");
+        };
+        Self::answer(self.index, est.best.to_work(shape))
+    }
+}
+
+/// One deduplicated simulation owed to a request: its cache key and
+/// shard, and every item that asked for it (first = the miss, rest hits).
+struct PendingSim {
+    key: String,
+    shard: usize,
+    items: Vec<Item>,
+}
+
+/// A request's un-simulated work list and the runner jobs draining it.
+#[derive(Default)]
+struct WorkList {
+    sims: VecDeque<PendingSim>,
+    /// Runner jobs queued or running for this request.
+    runners: usize,
+}
+
+/// One admitted request — a single `conv`/`gemm`/`tune`, a `"hw":"tuned"`
+/// conv, or a `batch` — and the state its items share until every owed
+/// line is sent. A single is a batch of one that differs only in framing.
+struct Run {
     shared: Arc<Shared>,
     tx: Sender<(u64, String)>,
     id: Option<String>,
     deadline: Option<Duration>,
     t0: Instant,
-    n_items: u64,
-    base_seq: u64,
-    summary_seq: u64,
-    pending: Mutex<VecDeque<PendingSim>>,
-    /// Item lines still owed (misses, their dedup followers, and
-    /// single-flight joins), **plus one sentinel unit** held by the
-    /// admission pass itself: a joined flight's waiter may fire the
-    /// instant it is registered, and the sentinel keeps such early
-    /// completions from seeing the count hit zero and emitting the
-    /// summary before admission finishes.
+    seq: u64,
+    /// `Some(n)`: a batch of `n` items — item `i` answers at `seq + i`
+    /// tagged `"item":i`, the summary goes at `seq + n`, and the
+    /// `serve.batch.*` counters move. `None`: a single — one line at
+    /// `seq` rendered by `finish_response`, no summary, batch counters
+    /// untouched.
+    batch: Option<usize>,
+    list: Mutex<WorkList>,
+    /// Item lines still owed, **plus one sentinel unit** per admission
+    /// pass in progress: a joined flight's waiter may fire the instant it
+    /// is registered, and the sentinel keeps such early completions from
+    /// seeing the count hit zero and emitting the summary before the pass
+    /// finishes.
     remaining: AtomicUsize,
+    /// Items answered with a typed error (the batch summary's count).
     errors: AtomicU64,
 }
 
-impl BatchRun {
-    fn send_item(&self, item: usize, body: &str) {
-        let _ = self.tx.send((
-            self.base_seq + item as u64,
-            finish_item_response(self.id.as_deref(), item, body),
-        ));
+impl Run {
+    /// Refuse the whole request while draining; otherwise count a batch
+    /// and admit its items. Returns the sequence span the request
+    /// consumed (== the response lines it will emit).
+    fn start(self: &Arc<Self>, items: Vec<Item>) -> u64 {
+        if self.shared.shutting_down.load(Ordering::SeqCst) {
+            let body = error_body(ErrorKind::ShuttingDown, "server is draining");
+            let lines = match self.batch {
+                Some(n) => batch_refusal(self.id.as_deref(), n, &body),
+                None => vec![finish_response(self.id.as_deref(), &body)],
+            };
+            for (i, line) in lines.into_iter().enumerate() {
+                let _ = self.tx.send((self.seq + i as u64, line));
+            }
+        } else {
+            if let Some(n) = self.batch {
+                let c = &self.shared.counters;
+                c.batches.fetch_add(1, Ordering::Relaxed);
+                c.batch_items.fetch_add(n as u64, Ordering::Relaxed);
+            }
+            self.admit(items);
+        }
+        self.batch.map_or(1, |n| n as u64 + 1)
     }
 
-    /// Mark `k` owed item lines as sent; the runner that clears the last
-    /// one emits the summary. The summary totals are stable by then: every
-    /// error was added before its items were marked done.
-    fn items_done(&self, k: usize) {
-        if self.remaining.fetch_sub(k, Ordering::AcqRel) == k {
-            let _ = self.tx.send((
-                self.summary_seq,
-                finish_response(
-                    self.id.as_deref(),
-                    &batch_summary_body(self.n_items, self.errors.load(Ordering::Acquire)),
-                ),
-            ));
-        }
-    }
-
-    /// Settle one item that joined a flight led elsewhere (another
-    /// connection, or another batch): count it, send its line, retire its
-    /// owed unit. Runs as a single-flight waiter, outside any shard lock.
-    fn settle_follower(&self, item: usize, shard: usize, is_tune: bool, outcome: &FlightOutcome) {
-        let c = &self.shared.counters;
-        match outcome {
-            FlightOutcome::Ready(body) => {
-                self.shared.cache.note_hit(shard);
-                count_tune_cached(c, is_tune, 1);
-                c.batch_hits.fetch_add(1, Ordering::Relaxed);
-                c.served.fetch_add(1, Ordering::Relaxed);
-                c.record_latency(self.t0, shard);
-                self.send_item(item, body);
+    /// Admission, the one path every item takes: the tune-store resolve
+    /// step, an inline cache hit (no worker slot, deadline ignored — a
+    /// hit costs microseconds), intra-request dedup, or a single-flight
+    /// join or lead. Led simulations go on the work list, and runners are
+    /// dispatched for them.
+    fn admit(self: &Arc<Self>, items: Vec<Item>) {
+        let cache = &self.shared.cache;
+        // One owed unit per item plus this pass's sentinel, claimed before
+        // any waiter can fire.
+        self.remaining.fetch_add(items.len() + 1, Ordering::AcqRel);
+        // Led simulations stay local until the pass ends — no runner is
+        // draining them, so dedup slot indices stay valid.
+        let mut led: Vec<PendingSim> = Vec::new();
+        let mut dedup: BTreeMap<String, usize> = BTreeMap::new();
+        for mut item in items {
+            let mut key = canonical_key(&item.work);
+            if item.resolve {
+                // A layer tuned before (this boot, or a warm-loaded store)
+                // resolves without a flight.
+                let stored = self
+                    .shared
+                    .tune_store
+                    .lock()
+                    .expect("tune store poisoned")
+                    .get(&key)
+                    .copied();
+                if let Some(est) = stored {
+                    self.shared.counters.count_tune(false);
+                    item = item.resolved(&est);
+                    key = canonical_key(&item.work);
+                }
             }
-            FlightOutcome::Failed(kind, detail) => {
-                count_rejection(c, *kind);
-                c.batch_errors.fetch_add(1, Ordering::Relaxed);
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.send_item(item, &error_body(*kind, detail));
+            let shard = cache.shard_of(&key);
+            if let Some(body) = cache.get(&key) {
+                self.settle(item, shard, false, &FlightOutcome::Ready(body));
+                continue;
+            }
+            if let Some(&slot) = dedup.get(&key) {
+                led[slot].items.push(item);
+                continue;
+            }
+            let waiter = Arc::clone(self);
+            match cache.admit(&key, move |o| waiter.settle(item, shard, false, o)) {
+                // Raced in since the lock-free get: an ordinary hit.
+                Admission::Cached(body) => {
+                    self.settle(item, shard, false, &FlightOutcome::Ready(body));
+                }
+                Admission::Joined => {}
+                Admission::Lead => {
+                    dedup.insert(key.clone(), led.len());
+                    led.push(PendingSim {
+                        key,
+                        shard,
+                        items: vec![item],
+                    });
+                }
             }
         }
+        if !led.is_empty() {
+            self.list().sims.extend(led);
+            self.dispatch();
+        }
+        // Release the sentinel; if every item settled inline, this emits
+        // the summary.
         self.items_done(1);
     }
 
-    /// Fail every item of a dedup group with one typed error, completing
-    /// the group's flight so single-flight followers elsewhere inherit
-    /// the same outcome (the caller has already bumped the kind-specific
-    /// counter for its own items).
-    fn fail_items(&self, sim: &PendingSim, kind: ErrorKind, detail: &str) {
-        let k = sim.items.len();
-        let c = &self.shared.counters;
-        c.batch_errors.fetch_add(k as u64, Ordering::Relaxed);
-        self.errors.fetch_add(k as u64, Ordering::Relaxed);
-        self.shared
-            .cache
-            .complete(&sim.key, &FlightOutcome::Failed(kind, detail.to_owned()));
-        let body = error_body(kind, detail);
-        for &i in &sim.items {
-            self.send_item(i, &body);
-        }
-        self.items_done(k);
+    fn list(&self) -> MutexGuard<'_, WorkList> {
+        self.list.lock().expect("work list poisoned")
     }
 
-    /// Answer one deduplicated simulation: run it (or expire it), complete
-    /// its flight, send every item line it owes, and retire those items.
-    fn process(&self, sim: PendingSim) {
-        let c = &self.shared.counters;
-        let k = sim.items.len();
-        if let Some(d) = self.deadline {
-            if self.t0.elapsed() > d {
-                c.deadline.fetch_add(k as u64, Ordering::Relaxed);
-                self.fail_items(&sim, ErrorKind::Deadline, "deadline expired in queue");
-                return;
-            }
+    /// Top this request's runners up to `min(batch_chunk, queued sims)`.
+    /// A chunk the pool cannot take whole degrades to one runner (slower,
+    /// but admitted). If the pool takes none and no runner is live, every
+    /// queued simulation is refused `busy` or `shutting-down`.
+    fn dispatch(self: &Arc<Self>) {
+        let want = {
+            let mut list = self.list();
+            let cap = self.shared.batch_chunk.min(list.sims.len());
+            let want = cap.saturating_sub(list.runners);
+            list.runners += want;
+            want
+        };
+        if want == 0 {
+            return;
         }
-        // Fault seams (mirrors the single-estimate job): a deadline storm
-        // expires the whole dedup group; an injected panic is caught here
-        // so every owed item line is still sent — the batch summary and
-        // the writer's seq reassembly both depend on nothing going missing.
-        if let Some(f) = &self.shared.faults {
-            if f.decide(FaultSite::DeadlineStorm).is_some() {
-                f.observe(FaultSite::DeadlineStorm);
-                c.deadline.fetch_add(k as u64, Ordering::Relaxed);
-                self.fail_items(&sim, ErrorKind::Deadline, "deadline expired in queue");
-                return;
-            }
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(f) = &self.shared.faults {
-                if f.decide(FaultSite::WorkerPanic).is_some() {
-                    f.observe(FaultSite::WorkerPanic);
-                    panic!("iconv-faults: injected worker panic");
-                }
-            }
-            engine::evaluate(&sim.work)
-        }));
-        let body: Body = match outcome {
-            Ok(body) => Body::from(body),
-            Err(_) => {
-                c.worker_crashes.fetch_add(1, Ordering::Relaxed);
-                self.fail_items(&sim, ErrorKind::WorkerCrashed, "simulation worker panicked");
-                return;
+        let runner = || {
+            let run = Arc::clone(self);
+            Box::new(move || run_step(&run)) as Job
+        };
+        let pool = &self.shared.pool;
+        // One runner wakes one worker; a chunk is admitted all-or-nothing.
+        let submitted = if want == 1 {
+            pool.try_submit(runner())
+        } else {
+            pool.try_submit_batch((0..want).map(|_| runner()).collect())
+        };
+        let Err(e) = submitted else {
+            return;
+        };
+        let started = usize::from(want > 1 && pool.try_submit(runner()).is_ok());
+        let refused: Vec<PendingSim> = {
+            let mut list = self.list();
+            list.runners -= want - started;
+            if list.runners == 0 {
+                list.sims.drain(..).collect()
+            } else {
+                Vec::new()
             }
         };
-        // Completing caches the body and answers every joined follower.
-        let shard = self.shared.cache.shard_of(&sim.key);
-        self.shared
-            .cache
-            .complete(&sim.key, &FlightOutcome::Ready(Arc::clone(&body)));
-        // The first item of a dedup group is the miss that paid for the
-        // simulation; followers are hits by construction.
-        let is_tune = matches!(sim.work, Work::Tune { .. });
-        self.shared.cache.note_miss(shard);
-        note_tune_search(&self.shared, is_tune, &sim.key, &body);
-        c.batch_misses.fetch_add(1, Ordering::Relaxed);
-        if k > 1 {
-            for _ in 1..k {
-                self.shared.cache.note_hit(shard);
-            }
-            count_tune_cached(c, is_tune, k as u64 - 1);
-            c.batch_hits.fetch_add(k as u64 - 1, Ordering::Relaxed);
-        }
-        c.served.fetch_add(k as u64, Ordering::Relaxed);
-        for _ in 0..k {
-            c.record_latency(self.t0, shard);
-        }
-        for &i in &sim.items {
-            self.send_item(i, &body);
-        }
-        self.items_done(k);
-    }
-
-    /// Refuse everything still pending (pool rejected the batch's runners)
-    /// and account the refusals; each refused group's flight completes
-    /// Failed so joined followers are not stranded.
-    fn refuse_all(&self, e: PoolBusy) {
         let kind = match e {
             PoolBusy::QueueFull => ErrorKind::Busy,
             PoolBusy::ShuttingDown => ErrorKind::ShuttingDown,
         };
-        let detail = e.to_string();
-        let drained: Vec<PendingSim> = {
-            let mut pending = self.pending.lock().expect("batch pending poisoned");
-            pending.drain(..).collect()
+        for sim in refused {
+            self.finish(sim, &FlightOutcome::Failed(kind, e.to_string()));
+        }
+    }
+
+    /// Pop the next simulation, or retire the calling runner when the
+    /// list is empty.
+    fn next_sim(&self) -> Option<PendingSim> {
+        let mut list = self.list();
+        let sim = list.sims.pop_front();
+        if sim.is_none() {
+            list.runners -= 1;
+        }
+        sim
+    }
+
+    /// The runner's seams, in order: the queue deadline, the
+    /// deadline-storm fault, then the engine under `catch_unwind` with the
+    /// worker-panic fault raised *inside* it. Every path yields an outcome,
+    /// so every owed line is sent — a swallowed seq would wedge the
+    /// writer's reorder heap and hang the connection.
+    fn simulate(&self, work: &Work) -> FlightOutcome {
+        let fire = |site| {
+            self.shared.faults.as_ref().is_some_and(|f| {
+                let hit = f.decide(site).is_some();
+                if hit {
+                    f.observe(site);
+                }
+                hit
+            })
         };
-        let c = &self.shared.counters;
-        for sim in drained {
-            if kind == ErrorKind::Busy {
-                c.busy.fetch_add(sim.items.len() as u64, Ordering::Relaxed);
+        if self.deadline.is_some_and(|d| self.t0.elapsed() > d) || fire(FaultSite::DeadlineStorm) {
+            return FlightOutcome::Failed(ErrorKind::Deadline, "deadline expired in queue".into());
+        }
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            if fire(FaultSite::WorkerPanic) {
+                panic!("iconv-faults: injected worker panic");
             }
-            self.fail_items(&sim, kind, &detail);
+            engine::evaluate(work)
+        }));
+        match ran {
+            Ok(body) => FlightOutcome::Ready(Body::from(body)),
+            Err(_) => {
+                let c = &self.shared.counters;
+                c.worker_crashes.fetch_add(1, Ordering::Relaxed);
+                FlightOutcome::Failed(
+                    ErrorKind::WorkerCrashed,
+                    "simulation worker panicked".into(),
+                )
+            }
         }
     }
-}
 
-/// Count a follower's inherited failure against the counter its kind
-/// belongs to — rejections stay out of `requests`, exactly as if the
-/// follower had led the flight and failed the same way itself. Worker
-/// crashes are counted once per actual panic (by the leader), and drain
-/// refusals have no dedicated counter, so both fall through.
-fn count_rejection(c: &Counters, kind: ErrorKind) {
-    match kind {
-        ErrorKind::Busy => {
-            c.busy.fetch_add(1, Ordering::Relaxed);
+    /// Complete a led flight — caching a `Ready` body and answering every
+    /// joined follower — then settle the group's own items. The first item
+    /// is the one that paid for the simulation.
+    fn finish(self: &Arc<Self>, sim: PendingSim, outcome: &FlightOutcome) {
+        self.shared.cache.complete(&sim.key, outcome);
+        for (j, &item) in sim.items.iter().enumerate() {
+            self.settle(item, sim.shard, j == 0, outcome);
         }
-        ErrorKind::Deadline => {
-            c.deadline.fetch_add(1, Ordering::Relaxed);
-        }
-        _ => {}
     }
-}
 
-/// Count `n` tunes answered without running a search (cache hit, joined
-/// flight, dedup follower, or tune-store hit). No-op for ordinary
-/// estimates — every response-delivery point calls this with its own
-/// `is_tune`, which keeps `tunes == tune_searches + tune_cached` exact.
-fn count_tune_cached(c: &Counters, is_tune: bool, n: u64) {
-    if is_tune && n > 0 {
-        c.tunes.fetch_add(n, Ordering::Relaxed);
-        c.tune_cached.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// A freshly-led tune search succeeded: count it and remember its winner
-/// in the tune store (what `"hw":"tuned"` requests consult, and what
-/// `--tune-cache` persists). The body was rendered by the engine, so
-/// re-parsing it cannot fail; a hypothetical mismatch only skips the store.
-fn note_tune_search(shared: &Shared, is_tune: bool, tune_key: &str, body: &str) {
-    if !is_tune {
-        return;
-    }
-    shared.counters.tunes.fetch_add(1, Ordering::Relaxed);
-    shared
-        .counters
-        .tune_searches
-        .fetch_add(1, Ordering::Relaxed);
-    if let Ok(protocol::Response::Tune { est, .. }) =
-        protocol::parse_response(&finish_response(None, body))
-    {
-        shared
-            .tune_store
-            .lock()
-            .expect("tune store poisoned")
-            .insert(tune_key.to_owned(), est);
-    }
-}
-
-/// A batch runner: take one simulation off the batch's work list, answer
-/// it, then *yield* by re-enqueueing a continuation at the back of the
-/// pool FIFO so interleaved requests from other clients get a turn. If the
-/// pool refuses the continuation (full queue or draining), keep going
-/// inline — progress is never sacrificed to fairness.
-fn run_batch_step(run: &Arc<BatchRun>) {
-    loop {
-        let sim = {
-            let mut pending = run.pending.lock().expect("batch pending poisoned");
-            pending.pop_front()
+    /// Deliver one item's outcome and make every ledger increment for it.
+    /// `led` marks the item whose simulation or search actually ran; any
+    /// other `Ready` delivery (inline hit, dedup or single-flight
+    /// follower) is a hit. A resolve item counts only in the tune ledger
+    /// and re-enters admission with its concrete work.
+    fn settle(self: &Arc<Self>, item: Item, shard: usize, led: bool, outcome: &FlightOutcome) {
+        let c = &self.shared.counters;
+        let body = match outcome {
+            FlightOutcome::Ready(body) => body,
+            FlightOutcome::Failed(kind, detail) => {
+                // Rejections stay out of `requests`. Worker crashes were
+                // counted once, at the panic; drain refusals have no counter.
+                match kind {
+                    ErrorKind::Busy => c.busy.fetch_add(1, Ordering::Relaxed),
+                    ErrorKind::Deadline => c.deadline.fetch_add(1, Ordering::Relaxed),
+                    _ => 0,
+                };
+                self.count_batch(&c.batch_errors);
+                self.errors.fetch_add(1, Ordering::Relaxed);
+                self.send_item(item.index, &error_body(*kind, detail));
+                self.items_done(1);
+                return;
+            }
         };
-        let Some(sim) = sim else { return };
-        run.process(sim);
+        if matches!(item.work, Work::Tune { .. }) {
+            // Only a search's leader (to fill the tune store) and a resolve
+            // need the winner itself.
+            let winner = if led || item.resolve {
+                tune_winner(body)
+            } else {
+                None
+            };
+            if item.resolve && winner.is_none() {
+                // Unreachable for engine-rendered bodies; answered anyway.
+                let unreadable = FlightOutcome::Failed(
+                    ErrorKind::WorkerCrashed,
+                    "unreadable tune result".into(),
+                );
+                return self.settle(item, shard, led, &unreadable);
+            }
+            c.count_tune(led);
+            if let Some(est) = winner {
+                if led {
+                    self.shared
+                        .tune_store
+                        .lock()
+                        .expect("tune store poisoned")
+                        .insert(canonical_key(&item.work), est);
+                }
+                if item.resolve {
+                    self.admit(vec![item.resolved(&est)]);
+                    self.items_done(1);
+                    return;
+                }
+            }
+        }
+        if led {
+            self.shared.cache.note_miss(shard);
+            self.count_batch(&c.batch_misses);
+        } else {
+            self.shared.cache.note_hit(shard);
+            self.count_batch(&c.batch_hits);
+        }
+        c.served.fetch_add(1, Ordering::Relaxed);
+        c.record_latency(self.t0, shard);
+        self.send_item(item.index, body);
+        self.items_done(1);
+    }
+
+    fn count_batch(&self, counter: &AtomicU64) {
+        if self.batch.is_some() {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn send_item(&self, item: usize, body: &str) {
+        let id = self.id.as_deref();
+        let line = match self.batch {
+            Some(_) => (self.seq + item as u64, finish_item_response(id, item, body)),
+            None => (self.seq, finish_response(id, body)),
+        };
+        let _ = self.tx.send(line);
+    }
+
+    /// Mark `k` owed units as done; whoever clears the last one emits a
+    /// batch's summary. The totals are stable by then: every error was
+    /// added before its item was marked done.
+    fn items_done(&self, k: usize) {
+        if self.remaining.fetch_sub(k, Ordering::AcqRel) != k {
+            return;
+        }
+        if let Some(n) = self.batch {
+            let errors = self.errors.load(Ordering::Acquire);
+            let _ = self.tx.send((
+                self.seq + n as u64,
+                finish_response(self.id.as_deref(), &batch_summary_body(n as u64, errors)),
+            ));
+        }
+    }
+}
+
+/// The winner inside an engine-rendered tune body.
+fn tune_winner(body: &str) -> Option<TuneEstimate> {
+    match protocol::parse_response(&finish_response(None, body)) {
+        Ok(protocol::Response::Tune { est, .. }) => Some(est),
+        _ => None,
+    }
+}
+
+/// A runner: answer one simulation off the request's work list, then —
+/// only while the list is non-empty — yield by re-enqueueing a
+/// continuation at the *back* of the pool FIFO, so a giant sweep cannot
+/// starve interleaved requests. If the pool refuses the continuation
+/// (full queue or draining), keep going inline: progress is never
+/// sacrificed to fairness.
+fn run_step(run: &Arc<Run>) {
+    while let Some(sim) = run.next_sim() {
+        let outcome = run.simulate(&sim.items[0].work);
+        run.finish(sim, &outcome);
+        if run.list().sims.is_empty() {
+            continue;
+        }
         let cont = Arc::clone(run);
-        if run
-            .shared
-            .pool
-            .try_submit(move || run_batch_step(&cont))
-            .is_ok()
-        {
+        if run.shared.pool.try_submit(move || run_step(&cont)).is_ok() {
             return;
         }
     }
@@ -920,491 +1077,77 @@ fn handle_line(line: &str, seq: u64, shared: &Arc<Shared>, tx: &Sender<(u64, Str
             return 1;
         }
     };
-    match req {
-        Request::Ping { id } => send(finish_response(id.as_deref(), &pong_body())),
+    let (id, deadline_ms, batch, items) = match req {
+        Request::Ping { id } => {
+            send(finish_response(id.as_deref(), &pong_body()));
+            return 1;
+        }
         Request::Stats { id } => {
-            let body = stats_body(&shared.snapshot());
-            send(finish_response(id.as_deref(), &body));
+            send(finish_response(
+                id.as_deref(),
+                &stats_body(&shared.snapshot()),
+            ));
+            return 1;
         }
         Request::Shards { id } => {
             let body = shards_body(&shared.cache.shard_stats());
             send(finish_response(id.as_deref(), &body));
+            return 1;
         }
         Request::Shutdown { id } => {
             send(finish_response(id.as_deref(), &shutdown_body()));
             shared.request_shutdown();
+            return 1;
         }
-        Request::Estimate(req) => return handle_estimate(req, t0, seq, shared, tx),
+        Request::Estimate(req) => (
+            req.id,
+            req.deadline_ms,
+            None,
+            vec![Item::answer(0, req.work)],
+        ),
+        // The resolve step runs first, under the layer's tune key; its
+        // outcome hands admission the concrete work.
         Request::TunedEstimate {
             id,
             shape,
             target,
             deadline_ms,
-        } => return handle_tuned(id, shape, target, deadline_ms, t0, seq, shared, tx),
+        } => {
+            let item = Item {
+                index: 0,
+                work: Work::Tune { shape, target },
+                resolve: true,
+            };
+            (id, deadline_ms, None, vec![item])
+        }
         Request::Batch {
             id,
             items,
             deadline_ms,
-        } => return handle_batch(id, items, deadline_ms, t0, seq, shared, tx),
-    }
-    1
-}
-
-/// Admit and answer one estimate request (op `conv`, `gemm`, or `tune`):
-/// cache fast path, single-flight admission, or a led worker job.
-/// Returns the sequence span consumed (always 1).
-fn handle_estimate(
-    req: protocol::EstimateRequest,
-    t0: Instant,
-    seq: u64,
-    shared: &Arc<Shared>,
-    tx: &Sender<(u64, String)>,
-) -> u64 {
-    let send = |line: String| {
-        let _ = tx.send((seq, line));
-    };
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        send(finish_response(
-            req.id.as_deref(),
-            &error_body(ErrorKind::ShuttingDown, "server is draining"),
-        ));
-        return 1;
-    }
-    let cache_key = key::canonical_key(&req.work);
-    let shard = shared.cache.shard_of(&cache_key);
-    let is_tune = matches!(req.work, Work::Tune { .. });
-    // Hit fast path: served inline by the reader, deadline ignored
-    // (a hit costs microseconds). One shard lock, pointer clone.
-    if let Some(body) = shared.cache.get(&cache_key) {
-        shared.cache.note_hit(shard);
-        count_tune_cached(&shared.counters, is_tune, 1);
-        shared.counters.served.fetch_add(1, Ordering::Relaxed);
-        shared.counters.record_latency(t0, shard);
-        send(finish_response(req.id.as_deref(), &body));
-        return 1;
-    }
-    // Single-flight admission. The waiter fires if another
-    // connection is already simulating this key: the follower's
-    // bytes come from the cache-to-be, so it is a hit; on failure
-    // it inherits the leader's typed error. A follower's own
-    // deadline is moot — joining costs nothing, like a hit.
-    let w_shared = Arc::clone(shared);
-    let w_tx = tx.clone();
-    let w_id = req.id.clone();
-    let waiter = move |outcome: &FlightOutcome| {
-        let line = match outcome {
-            FlightOutcome::Ready(body) => {
-                w_shared.cache.note_hit(shard);
-                count_tune_cached(&w_shared.counters, is_tune, 1);
-                w_shared.counters.served.fetch_add(1, Ordering::Relaxed);
-                w_shared.counters.record_latency(t0, shard);
-                finish_response(w_id.as_deref(), body)
-            }
-            FlightOutcome::Failed(kind, detail) => {
-                count_rejection(&w_shared.counters, *kind);
-                finish_response(w_id.as_deref(), &error_body(*kind, detail))
-            }
-        };
-        let _ = w_tx.send((seq, line));
-    };
-    match shared.cache.admit(&cache_key, waiter) {
-        Admission::Cached(body) => {
-            // Raced in between the lock-free get and the admit:
-            // an ordinary hit.
-            shared.cache.note_hit(shard);
-            count_tune_cached(&shared.counters, is_tune, 1);
-            shared.counters.served.fetch_add(1, Ordering::Relaxed);
-            shared.counters.record_latency(t0, shard);
-            send(finish_response(req.id.as_deref(), &body));
-            return 1;
-        }
-        Admission::Joined => return 1,
-        Admission::Lead => {}
-    }
-    // We lead: run the one simulation. Every exit below completes
-    // the flight exactly once so joined followers are answered.
-    let err_id = req.id.clone();
-    let job_shared = Arc::clone(shared);
-    let job_tx = tx.clone();
-    let job_key = cache_key.clone();
-    let job = move || {
-        let fail = |kind: ErrorKind, detail: &str| {
-            job_shared
-                .cache
-                .complete(&job_key, &FlightOutcome::Failed(kind, detail.to_owned()));
-            let _ = job_tx.send((
-                seq,
-                finish_response(req.id.as_deref(), &error_body(kind, detail)),
-            ));
-        };
-        let deadline = req.deadline_ms.map(Duration::from_millis);
-        if let Some(d) = deadline {
-            if t0.elapsed() > d {
-                job_shared.counters.deadline.fetch_add(1, Ordering::Relaxed);
-                fail(ErrorKind::Deadline, "deadline expired in queue");
-                return;
-            }
-        }
-        // Fault seams: a deadline storm expires the request as if
-        // it had aged out in the queue; an injected panic is raised
-        // *inside* this catch so the typed `worker-crashed` line is
-        // always emitted — a swallowed seq would wedge the writer's
-        // reorder heap and hang the connection forever.
-        if let Some(f) = &job_shared.faults {
-            if f.decide(FaultSite::DeadlineStorm).is_some() {
-                f.observe(FaultSite::DeadlineStorm);
-                job_shared.counters.deadline.fetch_add(1, Ordering::Relaxed);
-                fail(ErrorKind::Deadline, "deadline expired in queue");
-                return;
-            }
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(f) = &job_shared.faults {
-                if f.decide(FaultSite::WorkerPanic).is_some() {
-                    f.observe(FaultSite::WorkerPanic);
-                    panic!("iconv-faults: injected worker panic");
-                }
-            }
-            engine::evaluate(&req.work)
-        }));
-        let body: Body = match outcome {
-            Ok(body) => Body::from(body),
-            Err(_) => {
-                job_shared
-                    .counters
-                    .worker_crashes
-                    .fetch_add(1, Ordering::Relaxed);
-                fail(ErrorKind::WorkerCrashed, "simulation worker panicked");
-                return;
-            }
-        };
-        // Completing caches the body and answers every follower.
-        job_shared
-            .cache
-            .complete(&job_key, &FlightOutcome::Ready(Arc::clone(&body)));
-        job_shared.cache.note_miss(shard);
-        note_tune_search(&job_shared, is_tune, &job_key, &body);
-        job_shared.counters.served.fetch_add(1, Ordering::Relaxed);
-        job_shared.counters.record_latency(t0, shard);
-        let _ = job_tx.send((seq, finish_response(req.id.as_deref(), &body)));
-    };
-    if let Err(e) = shared.pool.try_submit(job) {
-        let kind = match e {
-            PoolBusy::QueueFull => {
-                shared.counters.busy.fetch_add(1, Ordering::Relaxed);
-                ErrorKind::Busy
-            }
-            PoolBusy::ShuttingDown => ErrorKind::ShuttingDown,
-        };
-        // The refused leader still owes the flight its completion
-        // (a follower may have joined between admit and here).
-        shared
-            .cache
-            .complete(&cache_key, &FlightOutcome::Failed(kind, e.to_string()));
-        send(finish_response(
-            err_id.as_deref(),
-            &error_body(kind, &e.to_string()),
-        ));
-    }
-    1
-}
-
-/// Answer a `conv` spelled `"hw":"tuned"`: resolve the layer's tuned
-/// configuration — from the tune store when the layer has been tuned
-/// before, otherwise by running the design-space search on a worker — and
-/// then estimate the layer under the winning concrete config. The resolve
-/// contributes one tune-ledger bump (`tune_cached` on a store hit,
-/// `tune_searches` when the search ran) and nothing to `hits`/`misses`;
-/// the concrete estimate is an ordinary hit-or-miss request, so
-/// `hits + misses == requests` is preserved. Returns the sequence span
-/// consumed (always 1).
-#[allow(clippy::too_many_arguments)]
-fn handle_tuned(
-    id: Option<String>,
-    shape: iconv_tensor::ConvShape,
-    target: protocol::TuneTarget,
-    deadline_ms: Option<u64>,
-    t0: Instant,
-    seq: u64,
-    shared: &Arc<Shared>,
-    tx: &Sender<(u64, String)>,
-) -> u64 {
-    let send = |line: String| {
-        let _ = tx.send((seq, line));
-    };
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        send(finish_response(
-            id.as_deref(),
-            &error_body(ErrorKind::ShuttingDown, "server is draining"),
-        ));
-        return 1;
-    }
-    let tune_key = key::canonical_key(&Work::Tune { shape, target });
-    // Store fast path: the layer has been tuned before (this boot, or a
-    // warm-loaded cache file). Delegating to `handle_estimate` gives the
-    // concrete work the full ordinary treatment — cache, single-flight,
-    // deadline — under its own canonical key.
-    let stored = shared
-        .tune_store
-        .lock()
-        .expect("tune store poisoned")
-        .get(&tune_key)
-        .copied();
-    if let Some(est) = stored {
-        count_tune_cached(&shared.counters, true, 1);
-        return handle_estimate(
-            protocol::EstimateRequest {
+        } => {
+            let n = items.len();
+            let items = items.into_iter().enumerate();
+            (
                 id,
-                work: est.best.to_work(shape),
                 deadline_ms,
-            },
-            t0,
-            seq,
-            shared,
-            tx,
-        );
-    }
-    // Store miss: run the search plus the winner's estimate as one worker
-    // job. No single-flight admission here — the tune store dedups
-    // repeats, and concurrent first-tuners at worst race two identical
-    // searches whose byte-identical results collapse in store and cache.
-    let err_id = id.clone();
-    let job_shared = Arc::clone(shared);
-    let job_tx = tx.clone();
-    let job = move || {
-        let send = |line: String| {
-            let _ = job_tx.send((seq, line));
-        };
-        if let Some(d) = deadline_ms.map(Duration::from_millis) {
-            if t0.elapsed() > d {
-                job_shared.counters.deadline.fetch_add(1, Ordering::Relaxed);
-                send(finish_response(
-                    id.as_deref(),
-                    &error_body(ErrorKind::Deadline, "deadline expired in queue"),
-                ));
-                return;
-            }
+                Some(n),
+                items.map(|(i, w)| Item::answer(i, w)).collect(),
+            )
         }
-        if let Some(f) = &job_shared.faults {
-            if f.decide(FaultSite::DeadlineStorm).is_some() {
-                f.observe(FaultSite::DeadlineStorm);
-                job_shared.counters.deadline.fetch_add(1, Ordering::Relaxed);
-                send(finish_response(
-                    id.as_deref(),
-                    &error_body(ErrorKind::Deadline, "deadline expired in queue"),
-                ));
-                return;
-            }
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(f) = &job_shared.faults {
-                if f.decide(FaultSite::WorkerPanic).is_some() {
-                    f.observe(FaultSite::WorkerPanic);
-                    panic!("iconv-faults: injected worker panic");
-                }
-            }
-            let est = iconv_tune::tune(
-                &iconv_tune::InProcessSource::new(),
-                &shape,
-                target,
-                &iconv_tune::TuneOptions::default(),
-            );
-            let concrete = est.best.to_work(shape);
-            let concrete_key = key::canonical_key(&concrete);
-            let cached = job_shared.cache.get(&concrete_key);
-            let hit = cached.is_some();
-            let body = cached.unwrap_or_else(|| Body::from(engine::evaluate(&concrete)));
-            (est, concrete_key, body, hit)
-        }));
-        let (est, concrete_key, body, hit) = match outcome {
-            Ok(v) => v,
-            Err(_) => {
-                job_shared
-                    .counters
-                    .worker_crashes
-                    .fetch_add(1, Ordering::Relaxed);
-                send(finish_response(
-                    id.as_deref(),
-                    &error_body(ErrorKind::WorkerCrashed, "simulation worker panicked"),
-                ));
-                return;
-            }
-        };
-        // The search ran: one tune-ledger bump, and the result is made
-        // durable (tune store) and hot (striped cache under the tune key)
-        // so the next asker — `tune` op or `"hw":"tuned"` — is a hit.
-        let c = &job_shared.counters;
-        c.tunes.fetch_add(1, Ordering::Relaxed);
-        c.tune_searches.fetch_add(1, Ordering::Relaxed);
-        job_shared
-            .cache
-            .insert(tune_key.clone(), Body::from(protocol::tune_body(&est)));
-        job_shared
-            .tune_store
-            .lock()
-            .expect("tune store poisoned")
-            .insert(tune_key, est);
-        // The winner's concrete estimate is an ordinary hit-or-miss on its
-        // own canonical key.
-        let shard = job_shared.cache.shard_of(&concrete_key);
-        if hit {
-            job_shared.cache.note_hit(shard);
-        } else {
-            job_shared.cache.insert(concrete_key, Arc::clone(&body));
-            job_shared.cache.note_miss(shard);
-        }
-        c.served.fetch_add(1, Ordering::Relaxed);
-        c.record_latency(t0, shard);
-        send(finish_response(id.as_deref(), &body));
     };
-    if let Err(e) = shared.pool.try_submit(job) {
-        let kind = match e {
-            PoolBusy::QueueFull => {
-                shared.counters.busy.fetch_add(1, Ordering::Relaxed);
-                ErrorKind::Busy
-            }
-            PoolBusy::ShuttingDown => ErrorKind::ShuttingDown,
-        };
-        send(finish_response(
-            err_id.as_deref(),
-            &error_body(kind, &e.to_string()),
-        ));
-    }
-    1
-}
-
-/// Admit and drive one batch (see the module-level *Batch execution*
-/// notes). Returns the sequence-number span it consumed: `items + 1`.
-fn handle_batch(
-    id: Option<String>,
-    items: Vec<Work>,
-    deadline_ms: Option<u64>,
-    t0: Instant,
-    seq: u64,
-    shared: &Arc<Shared>,
-    tx: &Sender<(u64, String)>,
-) -> u64 {
-    let n = items.len();
-    let span = n as u64 + 1;
-    let send_at = |s: u64, line: String| {
-        let _ = tx.send((s, line));
-    };
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        let body = error_body(ErrorKind::ShuttingDown, "server is draining");
-        for i in 0..n {
-            send_at(
-                seq + i as u64,
-                finish_item_response(id.as_deref(), i, &body),
-            );
-        }
-        send_at(
-            seq + n as u64,
-            finish_response(id.as_deref(), &batch_summary_body(n as u64, n as u64)),
-        );
-        return span;
-    }
-    let c = &shared.counters;
-    c.batches.fetch_add(1, Ordering::Relaxed);
-    c.batch_items.fetch_add(n as u64, Ordering::Relaxed);
-    let run = Arc::new(BatchRun {
+    let run = Arc::new(Run {
         shared: Arc::clone(shared),
         tx: tx.clone(),
         id,
         deadline: deadline_ms.map(Duration::from_millis),
         t0,
-        n_items: n as u64,
-        base_seq: seq,
-        summary_seq: seq + n as u64,
-        pending: Mutex::new(VecDeque::new()),
-        // The sentinel unit: held by this admission pass, released after
-        // the work list is published (see the field docs).
-        remaining: AtomicUsize::new(1),
+        seq,
+        batch,
+        list: Mutex::default(),
+        remaining: AtomicUsize::new(0),
         errors: AtomicU64::new(0),
     });
-    // Per-item cache pass: hits are answered inline without a worker
-    // slot; keys already in flight (led by another connection or batch)
-    // are joined; the rest dedup onto one PendingSim per canonical key.
-    // The work list stays local until the pass ends — no runner is
-    // draining it, so dedup slot indices stay valid.
-    let mut pending: VecDeque<PendingSim> = VecDeque::new();
-    let mut dedup: BTreeMap<String, usize> = BTreeMap::new();
-    for (i, work) in items.into_iter().enumerate() {
-        let cache_key = key::canonical_key(&work);
-        let shard = shared.cache.shard_of(&cache_key);
-        let is_tune = matches!(work, Work::Tune { .. });
-        if let Some(body) = shared.cache.get(&cache_key) {
-            shared.cache.note_hit(shard);
-            count_tune_cached(c, is_tune, 1);
-            c.batch_hits.fetch_add(1, Ordering::Relaxed);
-            c.served.fetch_add(1, Ordering::Relaxed);
-            c.record_latency(t0, shard);
-            run.send_item(i, &body);
-            continue;
-        }
-        if let Some(&slot) = dedup.get(&cache_key) {
-            // Intra-batch duplicate of a key this batch will lead.
-            pending[slot].items.push(i);
-            run.remaining.fetch_add(1, Ordering::AcqRel);
-            continue;
-        }
-        // Claim the owed unit *before* admitting: a joined waiter may
-        // fire the instant `admit` returns, and must find its own unit
-        // already in the count.
-        run.remaining.fetch_add(1, Ordering::AcqRel);
-        let w_run = Arc::clone(&run);
-        match shared.cache.admit(&cache_key, move |o| {
-            w_run.settle_follower(i, shard, is_tune, o)
-        }) {
-            Admission::Cached(body) => {
-                // Raced in since the lock-free get: an ordinary hit. Give
-                // the claimed unit back (the sentinel keeps this from
-                // emitting the summary early).
-                shared.cache.note_hit(shard);
-                count_tune_cached(c, is_tune, 1);
-                c.batch_hits.fetch_add(1, Ordering::Relaxed);
-                c.served.fetch_add(1, Ordering::Relaxed);
-                c.record_latency(t0, shard);
-                run.send_item(i, &body);
-                run.items_done(1);
-            }
-            Admission::Joined => {}
-            Admission::Lead => {
-                dedup.insert(cache_key.clone(), pending.len());
-                pending.push_back(PendingSim {
-                    work,
-                    key: cache_key,
-                    items: vec![i],
-                });
-            }
-        }
-    }
-    let owed_sims = pending.len();
-    *run.pending.lock().expect("batch pending poisoned") = pending;
-    if owed_sims > 0 {
-        let runners = shared.batch_chunk.min(owed_sims).max(1);
-        let jobs: Vec<Job> = (0..runners)
-            .map(|_| {
-                let run = Arc::clone(&run);
-                Box::new(move || run_batch_step(&run)) as Job
-            })
-            .collect();
-        if let Err(batch_err) = shared.pool.try_submit_batch(jobs) {
-            // The whole chunk did not fit; a single runner still makes
-            // the batch progress (slower, but admitted).
-            let single = Arc::clone(&run);
-            if shared
-                .pool
-                .try_submit(move || run_batch_step(&single))
-                .is_err()
-            {
-                run.refuse_all(batch_err);
-            }
-        }
-    }
-    // Release the sentinel; if every item settled inline (all hits, or
-    // fast joins already completed), this emits the summary.
-    run.items_done(1);
-    span
+    run.start(items)
 }
 
 #[cfg(test)]
@@ -1455,6 +1198,8 @@ mod tests {
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.hits + stats.misses, stats.requests);
         assert_eq!(stats.hits, 1);
+        // Singles are batches of one internally, but never batch-counted.
+        assert_eq!((stats.batches, stats.batch_items), (0, 0));
         let final_stats = h.shutdown();
         assert_eq!(final_stats.requests, 2);
     }

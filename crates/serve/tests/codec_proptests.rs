@@ -406,8 +406,6 @@ proptest! {
             busy_rejections: vals.0 % 5,
             deadline_expired: vals.1 % 3,
             parse_errors: vals.2 % 11,
-            latency_us_total: vals.0,
-            latency_us_max: vals.1,
             workers: 1 + vals.2 % 8,
             batches: vals.0 % 17,
             batch_items: vals.1 % 19,
