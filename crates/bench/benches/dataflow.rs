@@ -1,8 +1,10 @@
 //! Criterion benchmarks of the dataflow substrates: reference GEMM, the
-//! cycle-stepped systolic array, address generation, and tile scheduling.
+//! cycle-stepped systolic array, address generation, tile scheduling, and
+//! the channel-first block traffic counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iconv_core::addrgen::{AddrGen, VectorMemSpec};
+use iconv_core::block::{reference, BlockConfig, BlockDecomposition, FetchOrder};
 use iconv_core::schedule::TileSchedule;
 use iconv_systolic::reference::ReferenceArray;
 use iconv_systolic::{ArrayConfig, SystolicArray};
@@ -96,9 +98,41 @@ fn bench_scheduling(c: &mut Criterion) {
     c.bench_function("tile_schedule_tpu", |b| {
         b.iter(|| TileSchedule::tpu(black_box(&shape), 128))
     });
+    // Closed-form tap order against the set-intersecting reference it
+    // replaced.
     c.bench_function("reordered_taps_7x7", |b| {
         b.iter(|| iconv_core::block::reordered_taps(black_box(&shape)))
     });
+    c.bench_function("reordered_taps/reference/7x7", |b| {
+        b.iter(|| reference::reordered_taps(black_box(&shape)))
+    });
+}
+
+fn bench_block_fetch(c: &mut Criterion) {
+    // ResNet-50's 56x56 3x3 layer at batch 8 under the CUDA-SDK tiling: 196
+    // blocks x 9 taps through the reordered (warm) path, closed form
+    // against the set-building reference.
+    let shape = ConvShape::square(8, 64, 56, 64, 3, 1, 1).unwrap();
+    let d = BlockDecomposition::new(shape, BlockConfig::cuda_sdk(), FetchOrder::Reordered);
+    let blocks = d.output_blocks();
+    let mut g = c.benchmark_group("block_fetch");
+    g.bench_function("closed_form/resnet50_3x3_56", |b| {
+        b.iter(|| {
+            blocks
+                .iter()
+                .map(|blk| d.block_fetch_elems(black_box(blk)).1)
+                .sum::<u64>()
+        })
+    });
+    g.bench_function("reference/resnet50_3x3_56", |b| {
+        b.iter(|| {
+            blocks
+                .iter()
+                .map(|blk| reference::block_fetch_elems(&d, black_box(blk)).1)
+                .sum::<u64>()
+        })
+    });
+    g.finish();
 }
 
 criterion_group!(
@@ -106,6 +140,7 @@ criterion_group!(
     bench_reference_gemm,
     bench_systolic_array,
     bench_addrgen,
-    bench_scheduling
+    bench_scheduling,
+    bench_block_fetch
 );
 criterion_main!(benches);

@@ -15,11 +15,17 @@
 //! working-set overlap, so part of each shared-memory fill is already
 //! resident. The paper leaves optimal reordering to future work; the greedy
 //! nearest-neighbour order here is the "simple reordering" it describes.
+//!
+//! Tap order and block traffic are counted in closed form, by interval
+//! arithmetic over the output rectangles each tap reads validly. The
+//! [`reference`](mod@reference) module keeps the set-building versions
+//! they replaced, as the oracles the closed forms are tested against.
 
-use crate::decompose::FilterTile;
+use crate::decompose::{Axis, FilterTile};
 use iconv_tensor::conv_ref::{filter_dims, ifmap_dims};
 use iconv_tensor::{ConvShape, Coord, Matrix, Scalar, Tensor};
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::ops::Range;
 
 /// Thread-block tiling of the output GEMM (`M = N·Ho·Wo` × `N = Co`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,9 +93,13 @@ pub struct BlockDecomposition {
     shape: ConvShape,
     config: BlockConfig,
     order: FetchOrder,
-    /// Tap order resolved once at construction (the greedy reorder walks
-    /// whole-plane working sets, too costly to recompute per block).
+    /// Tap order resolved once at construction (the greedy reorder is
+    /// quadratic in the tap count, too costly to recompute per block).
     taps: Vec<FilterTile>,
+    /// Per tap in `taps`, the output rectangles its block counts need.
+    steps: Vec<TapStep>,
+    /// The output plane the block rows run over.
+    plane: Plane,
 }
 
 impl BlockDecomposition {
@@ -99,11 +109,24 @@ impl BlockDecomposition {
             FetchOrder::Naive => FilterTile::all(&shape),
             FetchOrder::Reordered => reordered_taps(&shape),
         };
+        let plane = Plane {
+            ho: shape.out_h(),
+            wo: shape.out_w(),
+        };
+        let (ah, aw) = (Axis::h(&shape), Axis::w(&shape));
+        let prevs = std::iter::once(None).chain(taps.iter().copied().map(Some));
+        let steps = taps
+            .iter()
+            .zip(prevs)
+            .map(|(&tile, prev)| TapStep::new(ah, aw, plane.wo, tile, prev))
+            .collect();
         Self {
             shape,
             config,
             order,
             taps,
+            steps,
+            plane,
         }
     }
 
@@ -118,8 +141,8 @@ impl BlockDecomposition {
     }
 
     /// Taps in the configured fetch order (resolved at construction).
-    pub fn tap_order(&self) -> Vec<FilterTile> {
-        self.taps.clone()
+    pub fn tap_order(&self) -> &[FilterTile] {
+        &self.taps
     }
 
     /// The configured fetch order.
@@ -154,7 +177,7 @@ impl BlockDecomposition {
     /// [`Self::tap_order`]), `ceil(Ci / bk)` channel slices.
     pub fn k_slices(&self) -> Vec<KSlice> {
         let mut slices = Vec::new();
-        for tile in self.tap_order() {
+        for &tile in &self.taps {
             let mut ci0 = 0;
             while ci0 < self.shape.ci {
                 let ci_len = self.config.bk.min(self.shape.ci - ci0);
@@ -163,47 +186,6 @@ impl BlockDecomposition {
             }
         }
         slices
-    }
-
-    /// The distinct input pixels `(h, w)` a block must fetch for one tap —
-    /// the shared-memory A-subtile footprint, per channel per image.
-    pub fn block_tap_pixels(
-        &self,
-        block: &OutputBlock,
-        tile: FilterTile,
-    ) -> BTreeSet<(usize, usize)> {
-        let (ho, wo) = (self.shape.out_h(), self.shape.out_w());
-        let mut set = BTreeSet::new();
-        for r in block.row0..block.row0 + block.rows {
-            let oh = (r / wo) % ho;
-            let ow = r % wo;
-            if let Some(p) = tile.input_pixel(&self.shape, oh, ow) {
-                set.insert(p);
-            }
-        }
-        set
-    }
-
-    /// The distinct `(image, h, w)` input coordinates a block must fetch
-    /// for one tap — per-image, so blocks spanning batch boundaries count
-    /// each image's footprint separately.
-    fn block_tap_coords(
-        &self,
-        block: &OutputBlock,
-        tile: FilterTile,
-    ) -> BTreeSet<(usize, usize, usize)> {
-        let (ho, wo) = (self.shape.out_h(), self.shape.out_w());
-        let per_img = ho * wo;
-        let mut set = BTreeSet::new();
-        for r in block.row0..block.row0 + block.rows {
-            let img = r / per_img;
-            let oh = (r / wo) % ho;
-            let ow = r % wo;
-            if let Some((h, w)) = tile.input_pixel(&self.shape, oh, ow) {
-                set.insert((img, h, w));
-            }
-        }
-        set
     }
 
     /// Global-memory elements fetched by `block` across its decomposed
@@ -218,20 +200,38 @@ impl BlockDecomposition {
     /// the Sec. V inter-tile-reuse model. Channel sub-slicing (`bk`) affects
     /// compute staging, not traffic: each (pixel, channel) is fetched once
     /// per tap visit regardless of slicing.
+    ///
+    /// Counted in O(1) per tap. Within one image a tap maps output rows to
+    /// input pixels injectively, so a tap's cold fetch is the number of
+    /// block rows inside its valid-output rectangle. The previous tap read
+    /// the same pixel only at a fixed output shift, so the warm fetch
+    /// subtracts the block rows whose shifted twin is also in the block and
+    /// valid for that tap. Tested equal to
+    /// [`reference::block_fetch_elems`], which builds the coordinate sets.
     pub fn block_fetch_elems(&self, block: &OutputBlock) -> (u64, u64) {
+        let (start, end) = (block.row0, block.row0 + block.rows);
+        let (first, last) = (self.plane.pos(start), self.plane.pos(end));
+        let pos = |r: usize| match r {
+            r if r == start => first,
+            r if r == end => last,
+            r => self.plane.pos(r),
+        };
         let ci = self.shape.ci as u64;
         let mut cold = 0u64;
         let mut warm = 0u64;
-        let mut prev: Option<BTreeSet<(usize, usize, usize)>> = None;
-        for tile in self.tap_order() {
-            let coords = self.block_tap_coords(block, tile);
-            cold += coords.len() as u64 * ci;
-            let fresh = match &prev {
-                Some(p) => coords.difference(p).count() as u64,
-                None => coords.len() as u64,
-            };
-            warm += fresh * ci;
-            prev = Some(coords);
+        for step in &self.steps {
+            let fetched = step.valid.below(last) - step.valid.below(first);
+            let resident = step.resident.as_ref().map_or(0, |res| {
+                // Rows `r` whose twin `r + delta` also lies in the block.
+                let lo = start.max(start.saturating_add_signed(-res.delta));
+                let hi = end.min(end.saturating_add_signed(-res.delta));
+                if hi <= lo {
+                    return 0;
+                }
+                res.shared.below(pos(hi)) - res.shared.below(pos(lo))
+            });
+            cold += fetched * ci;
+            warm += (fetched - resident) * ci;
         }
         (cold, warm)
     }
@@ -292,42 +292,247 @@ impl BlockDecomposition {
     }
 }
 
+/// The `Ho × Wo` output plane, repeated per image along the output-matrix
+/// rows (`r = img·Ho·Wo + oh·Wo + ow`).
+#[derive(Debug, Clone, Copy)]
+struct Plane {
+    ho: usize,
+    wo: usize,
+}
+
+impl Plane {
+    /// Output-matrix row `r` as `(img, oh, ow)`.
+    fn pos(&self, r: usize) -> Pos {
+        let per_img = self.ho * self.wo;
+        Pos {
+            img: r / per_img,
+            oh: r % per_img / self.wo,
+            ow: r % self.wo,
+        }
+    }
+}
+
+/// An output-matrix row split into image, output row and output column.
+#[derive(Debug, Clone, Copy)]
+struct Pos {
+    img: usize,
+    oh: usize,
+    ow: usize,
+}
+
+/// Output pixels `oh ∈ h`, `ow ∈ w`, repeated in every image.
+#[derive(Debug, Clone)]
+struct Rect {
+    h: Range<usize>,
+    w: Range<usize>,
+}
+
+impl Rect {
+    /// Points of the rectangle, over all images, whose output-matrix row
+    /// lies before `p`. Each whole image before `p` holds the full
+    /// rectangle and `p`'s image a row-major prefix of it.
+    fn below(&self, p: Pos) -> u64 {
+        let whole_rows = p.oh.clamp(self.h.start, self.h.end) - self.h.start;
+        let part = if self.h.contains(&p.oh) {
+            p.ow.clamp(self.w.start, self.w.end) - self.w.start
+        } else {
+            0
+        };
+        (p.img * self.h.len() + whole_rows) as u64 * self.w.len() as u64 + part as u64
+    }
+}
+
+/// One tap of the fetch order, with the output rectangles its block
+/// counts need.
+#[derive(Debug, Clone)]
+struct TapStep {
+    /// Outputs at which the tap reads a valid pixel.
+    valid: Rect,
+    /// Pixels the previous tap also read; `None` for the first tap and
+    /// when the two taps share no pixel.
+    resident: Option<Resident>,
+}
+
+/// Where the previous tap read the pixels a tap reads again.
+#[derive(Debug, Clone)]
+struct Resident {
+    /// The previous tap read row `r`'s pixel at row `r + delta`
+    /// (`delta = kh·Wo + kw` from the per-axis output shifts).
+    delta: isize,
+    /// Outputs at which both reads are valid; this keeps `r + delta` in
+    /// `r`'s image.
+    shared: Rect,
+}
+
+impl TapStep {
+    fn new(ah: Axis, aw: Axis, wo: usize, tile: FilterTile, prev: Option<FilterTile>) -> Self {
+        let resident = prev.and_then(|p| {
+            let (kh, h) = ah.shared(tile.fh, p.fh)?;
+            let (kw, w) = aw.shared(tile.fw, p.fw)?;
+            (!h.is_empty() && !w.is_empty()).then(|| Resident {
+                delta: kh * wo as isize + kw,
+                shared: Rect { h, w },
+            })
+        });
+        Self {
+            valid: Rect {
+                h: ah.valid(tile.fh),
+                w: aw.valid(tile.fw),
+            },
+            resident,
+        }
+    }
+}
+
 /// Greedy nearest-neighbour tap order: start at `(0,0)`, repeatedly take the
 /// unvisited tap with the largest working-set overlap with the current one
 /// (ties broken by raster order).
+///
+/// The overlap of two taps is a product of per-axis overlaps, so the walk
+/// reads two `Hf×Hf` and `Wf×Wf` tables built up front. Tested equal to
+/// [`reference::reordered_taps`], which intersects enumerated working sets.
 pub fn reordered_taps(shape: &ConvShape) -> Vec<FilterTile> {
     let all = FilterTile::all(shape);
     if all.len() <= 2 {
         return all;
     }
-    // Precompute working sets once; overlap() would recompute per pair.
-    let sets: Vec<BTreeSet<(usize, usize)>> = all.iter().map(|t| t.working_set(shape)).collect();
-    let mut order = vec![all[0]];
+    let table = |axis: Axis, taps: usize| -> Vec<usize> {
+        (0..taps * taps)
+            .map(|i| axis.overlap(i / taps, i % taps))
+            .collect()
+    };
+    let ov_h = table(Axis::h(shape), shape.hf);
+    let ov_w = table(Axis::w(shape), shape.wf);
+    let overlap =
+        |a: FilterTile, b: FilterTile| ov_h[a.fh * shape.hf + b.fh] * ov_w[a.fw * shape.wf + b.fw];
+    let mut order = Vec::with_capacity(all.len());
     let mut used = vec![false; all.len()];
-    used[0] = true;
     let mut cur = 0usize;
+    used[cur] = true;
+    order.push(all[cur]);
     for _ in 1..all.len() {
-        let mut best: Option<(usize, usize)> = None; // (overlap, idx)
-        for (i, t) in all.iter().enumerate() {
-            let _ = t;
-            if used[i] {
-                continue;
-            }
-            let ov = sets[cur].intersection(&sets[i]).count();
-            let better = match best {
-                None => true,
-                Some((bov, bidx)) => ov > bov || (ov == bov && i < bidx),
-            };
-            if better {
-                best = Some((ov, i));
-            }
-        }
-        let (_, idx) = best.expect("unvisited tap must exist");
-        used[idx] = true;
-        order.push(all[idx]);
-        cur = idx;
+        cur = (0..all.len())
+            .filter(|&i| !used[i])
+            .max_by_key(|&i| (overlap(all[cur], all[i]), Reverse(i)))
+            .expect("unvisited tap must exist");
+        used[cur] = true;
+        order.push(all[cur]);
     }
     order
+}
+
+/// The set-building versions of the tap order and the block traffic,
+/// retained as the enumeration oracles for [`reordered_taps`] and
+/// [`BlockDecomposition::block_fetch_elems`] (see
+/// `tests/block_equivalence.rs`). They materialize whole-plane working sets
+/// and per-block coordinate sets, so they cost O(outputs) per tap where the
+/// closed forms cost O(1).
+pub mod reference {
+    use super::{BlockDecomposition, OutputBlock};
+    use crate::decompose::FilterTile;
+    use iconv_tensor::ConvShape;
+    use std::collections::BTreeSet;
+
+    /// Greedy nearest-neighbour tap order by intersecting the enumerated
+    /// working sets of every pair of taps.
+    pub fn reordered_taps(shape: &ConvShape) -> Vec<FilterTile> {
+        let all = FilterTile::all(shape);
+        if all.len() <= 2 {
+            return all;
+        }
+        // Precompute working sets once; overlap() would recompute per pair.
+        let sets: Vec<BTreeSet<(usize, usize)>> =
+            all.iter().map(|t| t.working_set(shape)).collect();
+        let mut order = vec![all[0]];
+        let mut used = vec![false; all.len()];
+        used[0] = true;
+        let mut cur = 0usize;
+        for _ in 1..all.len() {
+            let mut best: Option<(usize, usize)> = None; // (overlap, idx)
+            for (i, t) in all.iter().enumerate() {
+                let _ = t;
+                if used[i] {
+                    continue;
+                }
+                let ov = sets[cur].intersection(&sets[i]).count();
+                let better = match best {
+                    None => true,
+                    Some((bov, bidx)) => ov > bov || (ov == bov && i < bidx),
+                };
+                if better {
+                    best = Some((ov, i));
+                }
+            }
+            let (_, idx) = best.expect("unvisited tap must exist");
+            used[idx] = true;
+            order.push(all[idx]);
+            cur = idx;
+        }
+        order
+    }
+
+    /// The distinct input pixels `(h, w)` a block must fetch for one tap —
+    /// the shared-memory A-subtile footprint, per channel per image.
+    pub fn block_tap_pixels(
+        d: &BlockDecomposition,
+        block: &OutputBlock,
+        tile: FilterTile,
+    ) -> BTreeSet<(usize, usize)> {
+        let shape = d.shape();
+        let (ho, wo) = (shape.out_h(), shape.out_w());
+        let mut set = BTreeSet::new();
+        for r in block.row0..block.row0 + block.rows {
+            let oh = (r / wo) % ho;
+            let ow = r % wo;
+            if let Some(p) = tile.input_pixel(shape, oh, ow) {
+                set.insert(p);
+            }
+        }
+        set
+    }
+
+    /// The distinct `(image, h, w)` input coordinates a block must fetch
+    /// for one tap — per-image, so blocks spanning batch boundaries count
+    /// each image's footprint separately.
+    pub fn block_tap_coords(
+        d: &BlockDecomposition,
+        block: &OutputBlock,
+        tile: FilterTile,
+    ) -> BTreeSet<(usize, usize, usize)> {
+        let shape = d.shape();
+        let (ho, wo) = (shape.out_h(), shape.out_w());
+        let per_img = ho * wo;
+        let mut set = BTreeSet::new();
+        for r in block.row0..block.row0 + block.rows {
+            let img = r / per_img;
+            let oh = (r / wo) % ho;
+            let ow = r % wo;
+            if let Some((h, w)) = tile.input_pixel(shape, oh, ow) {
+                set.insert((img, h, w));
+            }
+        }
+        set
+    }
+
+    /// [`BlockDecomposition::block_fetch_elems`] by building each tap's
+    /// coordinate set and diffing it against the previous tap's.
+    pub fn block_fetch_elems(d: &BlockDecomposition, block: &OutputBlock) -> (u64, u64) {
+        let ci = d.shape().ci as u64;
+        let mut cold = 0u64;
+        let mut warm = 0u64;
+        let mut prev: Option<BTreeSet<(usize, usize, usize)>> = None;
+        for &tile in d.tap_order() {
+            let coords = block_tap_coords(d, block, tile);
+            cold += coords.len() as u64 * ci;
+            let fresh = match &prev {
+                Some(p) => coords.difference(p).count() as u64,
+                None => coords.len() as u64,
+            };
+            warm += fresh * ci;
+            prev = Some(coords);
+        }
+        (cold, warm)
+    }
 }
 
 #[cfg(test)]
@@ -467,7 +672,7 @@ mod tests {
         let blocks = d.output_blocks();
         let tile = FilterTile::new(1, 1);
         // A small block touches at most `rows` pixels.
-        let px = d.block_tap_pixels(&blocks[0], tile);
+        let px = reference::block_tap_pixels(&d, &blocks[0], tile);
         assert!(px.len() <= blocks[0].rows);
         assert!(!px.is_empty());
     }

@@ -8,18 +8,24 @@
 //! convolution is the sum of the per-tile products, in **any order**
 //! (commutativity of accumulation — tested in [`crate::algo`]).
 //!
-//! The tile working-set analysis here ([`FilterTile::working_set`],
+//! The tile working-set analysis here ([`FilterTile::working_set_len`],
 //! [`FilterTile::overlap`]) also powers two headline results:
 //!
 //! * stride-insensitivity: a tile's working set (and its GEMM) shrinks by
 //!   `stride²`, so SRAM-fill latency stays hidden (Fig. 8b);
 //! * inter-tile reuse on GPUs: tiles whose taps are congruent modulo the
 //!   stride share most of their working set (Sec. V, Fig. 18b).
+//!
+//! Both are counted in closed form: on one axis a tap's valid outputs form
+//! one interval, so a working set is a rectangle of outputs and two taps
+//! share a sub-rectangle of it. [`FilterTile::working_set`] enumerates the
+//! pixels and is kept as the oracle the closed forms are tested against.
 
 use iconv_tensor::conv_ref::{filter_dims, ifmap_dims, input_pixel};
 use iconv_tensor::{ConvShape, Coord, Matrix, Scalar, Tensor};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
 
 /// One decomposed 1×1 filter: the tap at `(fh, fw)`.
 ///
@@ -76,6 +82,10 @@ impl FilterTile {
 
     /// The distinct valid input pixels `(h, w)` this tile touches across the
     /// whole output plane (per image, per channel): a strided grid.
+    ///
+    /// Enumerates every output — the oracle for [`Self::working_set_len`]
+    /// and [`Self::overlap`], and the pixel list for callers that need the
+    /// pixels themselves.
     pub fn working_set(&self, shape: &ConvShape) -> BTreeSet<(usize, usize)> {
         let mut set = BTreeSet::new();
         for oh in 0..shape.out_h() {
@@ -90,13 +100,14 @@ impl FilterTile {
 
     /// `|working_set(self) ∩ working_set(other)|` — shared input pixels.
     ///
-    /// Closed form (no padding): the grids `{fh·d − p + s·i}` intersect only
-    /// when tap offsets are congruent modulo the stride; with congruent taps
-    /// the 1-D overlap is `Ho − |Δfh·d| / s`.
+    /// Closed form: a working set is a row grid × a column grid, so the
+    /// overlap is the product of the two 1-D overlaps. On one axis the grids
+    /// `{f·d − p + s·o}` meet only when `Δf·d` is divisible by the stride
+    /// `s`; the shared outputs are then one interval — `Ho − |Δfh·d| / s`
+    /// of them without padding. Tested equal to the intersection of the
+    /// enumerated [`Self::working_set`]s.
     pub fn overlap(&self, other: &FilterTile, shape: &ConvShape) -> usize {
-        self.working_set(shape)
-            .intersection(&other.working_set(shape))
-            .count()
+        Axis::h(shape).overlap(self.fh, other.fh) * Axis::w(shape).overlap(self.fw, other.fw)
     }
 
     /// Fraction of `self`'s working set also needed by `other`: the data
@@ -104,12 +115,11 @@ impl FilterTile {
     ///
     /// Returns 0 when `self`'s working set is empty (degenerate shapes).
     pub fn reuse_fraction(&self, other: &FilterTile, shape: &ConvShape) -> f64 {
-        let ws = self.working_set(shape);
-        if ws.is_empty() {
+        let ws = self.working_set_len(shape);
+        if ws == 0 {
             return 0.0;
         }
-        let shared = ws.intersection(&other.working_set(shape)).count();
-        shared as f64 / ws.len() as f64
+        self.overlap(other, shape) as f64 / ws as f64
     }
 
     /// The `M × Ci` lowered-matrix slice for this tile: the operand of its
@@ -148,25 +158,13 @@ impl FilterTile {
     /// Number of distinct output rows `oh` whose tap lands on a valid input
     /// row (not padding) for this tile.
     pub fn valid_out_h(&self, shape: &ConvShape) -> usize {
-        count_valid(
-            shape.out_h(),
-            shape.stride_h,
-            self.fh * shape.dil_h,
-            shape.pad_h,
-            shape.hi,
-        )
+        Axis::h(shape).valid(self.fh).len()
     }
 
     /// Number of distinct output columns `ow` whose tap lands on a valid
     /// input column for this tile.
     pub fn valid_out_w(&self, shape: &ConvShape) -> usize {
-        count_valid(
-            shape.out_w(),
-            shape.stride_w,
-            self.fw * shape.dil_w,
-            shape.pad_w,
-            shape.wi,
-        )
+        Axis::w(shape).valid(self.fw).len()
     }
 
     /// `|working_set|` in closed form — the pixel grid is a product of the
@@ -179,15 +177,73 @@ impl FilterTile {
     }
 }
 
-/// Count `o ∈ [0, out)` with `0 ≤ o·stride + off − pad < extent`.
-fn count_valid(out: usize, stride: usize, off: usize, pad: usize, extent: usize) -> usize {
-    (0..out)
-        .filter(|o| {
-            (o * stride + off)
-                .checked_sub(pad)
-                .is_some_and(|x| x < extent)
-        })
-        .count()
+/// One spatial axis of a convolution: what the per-tap interval arithmetic
+/// needs. A tap `f` at output `o` reads input `o·stride + f·dil − pad`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Axis {
+    out: usize,
+    stride: usize,
+    dil: usize,
+    pad: usize,
+    extent: usize,
+}
+
+impl Axis {
+    /// The vertical axis of `shape`.
+    pub(crate) fn h(shape: &ConvShape) -> Self {
+        Self {
+            out: shape.out_h(),
+            stride: shape.stride_h,
+            dil: shape.dil_h,
+            pad: shape.pad_h,
+            extent: shape.hi,
+        }
+    }
+
+    /// The horizontal axis of `shape`.
+    pub(crate) fn w(shape: &ConvShape) -> Self {
+        Self {
+            out: shape.out_w(),
+            stride: shape.stride_w,
+            dil: shape.dil_w,
+            pad: shape.pad_w,
+            extent: shape.wi,
+        }
+    }
+
+    /// The outputs `o ∈ [0, out)` at which tap `f` reads a valid input
+    /// (`0 ≤ o·stride + f·dil − pad < extent`): one interval.
+    pub(crate) fn valid(&self, f: usize) -> Range<usize> {
+        let off = f * self.dil;
+        let lo = self.pad.saturating_sub(off).div_ceil(self.stride);
+        let hi = (self.extent + self.pad)
+            .saturating_sub(off)
+            .div_ceil(self.stride)
+            .min(self.out);
+        lo..hi.max(lo)
+    }
+
+    /// Where taps `a` and `b` read the same inputs. Tap `a` at output `o`
+    /// reads what tap `b` reads at output `o + k`, with
+    /// `k = (a − b)·dil / stride`; returns `k` and the outputs `o` at which
+    /// both reads are valid, or `None` when `(a − b)·dil` is not divisible
+    /// by the stride and the taps share no input on this axis.
+    pub(crate) fn shared(&self, a: usize, b: usize) -> Option<(isize, Range<usize>)> {
+        let step = (a as isize - b as isize) * self.dil as isize;
+        if step % self.stride as isize != 0 {
+            return None;
+        }
+        let k = step / self.stride as isize;
+        let (va, vb) = (self.valid(a), self.valid(b));
+        let lo = (va.start as isize).max(vb.start as isize - k);
+        let hi = (va.end as isize).min(vb.end as isize - k);
+        Some((k, lo as usize..hi.max(lo) as usize))
+    }
+
+    /// Distinct inputs taps `a` and `b` both read on this axis.
+    pub(crate) fn overlap(&self, a: usize, b: usize) -> usize {
+        self.shared(a, b).map_or(0, |(_, outs)| outs.len())
+    }
 }
 
 impl fmt::Display for FilterTile {

@@ -95,8 +95,10 @@ pub fn channel_last(cfg: &GpuConfig, shape: &ConvShape) -> Traffic {
 
 /// Traffic of the block-level channel-first schedule, with or without the
 /// inter-tile reuse reordering. Exact per-block accounting via
-/// [`BlockDecomposition::block_fetch_elems`], memoized over the repeating
-/// block pattern within each batch image.
+/// [`BlockDecomposition::block_fetch_elems`], which counts each tap in
+/// closed form (O(1) per tap per block), memoized over the repeating block
+/// pattern within each batch image: same-phase blocks of later images reuse
+/// the first image's counts.
 pub fn channel_first(cfg: &GpuConfig, shape: &ConvShape, reuse: bool) -> Traffic {
     let order = if reuse {
         FetchOrder::Reordered
