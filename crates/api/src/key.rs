@@ -9,22 +9,241 @@
 //! to one key; requests that differ in any observable way never collide,
 //! because every component is an injective rendering
 //! ([`iconv_tpusim::TpuConfig::canonical_key`] and friends).
+//!
+//! Keying is two steps. [`canonical`] normalizes a [`Work`] into a
+//! [`Canonical`] value, and [`canonical_key`] renders that value through
+//! its `Display`. Two works share a key exactly when their `Canonical`s are
+//! equal, so an in-process dedup (the tune search's alias pruning) compares
+//! values and never builds the text.
+
+use std::fmt::{self, Write as _};
 
 use iconv_core::{tpu_group_size, ConvPass};
+use iconv_gpusim::{GpuAlgo, GpuConfig};
 use iconv_tensor::ConvShape;
 use iconv_tpusim::{SimMode, TpuConfig};
 
 use crate::gpuspec::resolve_gpu;
 use crate::spec::resolve_tpu;
+use crate::tuned::TuneTarget;
 use crate::work::Work;
+
+/// Initial buffer for a rendered key: hardware keys over the paper tables
+/// and the tune grid run 181–215 bytes, so one allocation holds any of
+/// them.
+const KEY_CAPACITY: usize = 256;
+
+/// A TPU lowering mode after normalization: the channel-first group is
+/// resolved and clamped, so every spelling that runs the same schedule is
+/// one value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TpuMode {
+    /// Channel-first with this many taps per duplication group.
+    ChannelFirst(usize),
+    /// Explicit im2col.
+    Explicit,
+    /// Indirect-buffer lowering.
+    Indirect,
+}
+
+impl fmt::Display for TpuMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TpuMode::ChannelFirst(g) => write!(f, "cf:g{g}"),
+            TpuMode::Explicit => f.write_str("explicit"),
+            TpuMode::Indirect => f.write_str("indirect"),
+        }
+    }
+}
+
+/// A unit of work after every normalization its cache key applies:
+/// hardware resolved against the chip defaults, a forward-pass spelling
+/// folded into the plain conv, and the TPU channel-first group resolved.
+/// Equal values render equal keys and vice versa. Validated configs carry
+/// only finite, positive floats, so the derived `PartialEq` agrees with
+/// the rendering's shortest round-trip float text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Canonical {
+    /// A convolution pass on the TPU model.
+    TpuConv {
+        /// The pass; `Forward` is the plain conv.
+        pass: ConvPass,
+        /// Lowering mode, group resolved.
+        mode: TpuMode,
+        /// Resolved hardware.
+        cfg: TpuConfig,
+        /// Layer shape.
+        shape: ConvShape,
+    },
+    /// A plain GEMM on the TPU model.
+    TpuGemm {
+        /// Resolved hardware.
+        cfg: TpuConfig,
+        /// GEMM M.
+        m: usize,
+        /// GEMM N.
+        n: usize,
+        /// GEMM K.
+        k: usize,
+    },
+    /// A convolution pass on the GPU model.
+    GpuConv {
+        /// The pass; `Forward` is the plain conv.
+        pass: ConvPass,
+        /// Kernel algorithm.
+        algo: GpuAlgo,
+        /// Resolved hardware.
+        cfg: GpuConfig,
+        /// Layer shape.
+        shape: ConvShape,
+    },
+    /// A design-space search.
+    Tune {
+        /// Simulator searched.
+        target: TuneTarget,
+        /// Layer shape.
+        shape: ConvShape,
+    },
+}
+
+/// Normalize a unit of work: resolve its hardware, alias a forward-pass
+/// spelling to the plain conv, and resolve the TPU channel-first group.
+///
+/// # Panics
+///
+/// Panics if the work's hardware spec fails validation (see
+/// [`resolve_tpu`]).
+pub fn canonical(work: &Work) -> Canonical {
+    match *work {
+        Work::TpuConv { shape, mode, hw } => {
+            tpu_conv(shape, ConvPass::Forward, mode, resolve_tpu(&hw))
+        }
+        Work::TpuPass {
+            shape,
+            pass,
+            mode,
+            hw,
+        } => tpu_conv(shape, pass, mode, resolve_tpu(&hw)),
+        Work::TpuGemm { m, n, k, hw } => Canonical::TpuGemm {
+            cfg: resolve_tpu(&hw),
+            m,
+            n,
+            k,
+        },
+        Work::GpuConv { shape, algo, hw } => Canonical::GpuConv {
+            pass: ConvPass::Forward,
+            algo,
+            cfg: resolve_gpu(&hw),
+            shape,
+        },
+        Work::GpuPass {
+            shape,
+            pass,
+            algo,
+            hw,
+        } => Canonical::GpuConv {
+            pass,
+            algo,
+            cfg: resolve_gpu(&hw),
+            shape,
+        },
+        Work::Tune { shape, target } => Canonical::Tune { target, shape },
+    }
+}
+
+/// A TPU conv pass with its lowering mode normalized *for this shape, pass
+/// and array*: `ChannelFirst` resolves its automatic group size, and
+/// explicit groups are clamped exactly the way the engine clamps them. The
+/// duplication axis is pass-dependent — forward duplicates over `Ci`,
+/// dgrad/transpose over `Co`, and wgrad streams a plain GEMM with no
+/// duplication at all (every group spelling collapses to `g1`).
+fn tpu_conv(shape: ConvShape, pass: ConvPass, mode: SimMode, cfg: TpuConfig) -> Canonical {
+    let rows = cfg.array.rows;
+    let channels = if pass.gathers_output_side() {
+        shape.co
+    } else {
+        shape.ci
+    };
+    let max_group = if pass == ConvPass::Wgrad {
+        1
+    } else {
+        rows.div_ceil(channels)
+    };
+    let mode = match mode {
+        SimMode::Explicit => TpuMode::Explicit,
+        SimMode::Indirect => TpuMode::Indirect,
+        SimMode::ChannelFirst => {
+            TpuMode::ChannelFirst(tpu_group_size(rows, channels, shape.wf).clamp(1, max_group))
+        }
+        SimMode::ChannelFirstGrouped(g) => TpuMode::ChannelFirst(g.clamp(1, max_group)),
+    };
+    Canonical::TpuConv {
+        pass,
+        mode,
+        cfg,
+        shape,
+    }
+}
+
+impl fmt::Display for Canonical {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Canonical::TpuConv {
+                pass,
+                mode,
+                cfg,
+                shape,
+            } => {
+                cfg.write_canonical_key(f)?;
+                write_conv(f, *pass, mode, shape)
+            }
+            Canonical::TpuGemm { cfg, m, n, k } => {
+                cfg.write_canonical_key(f)?;
+                write!(f, ";gemm;m{m},n{n},k{k}")
+            }
+            Canonical::GpuConv {
+                pass,
+                algo,
+                cfg,
+                shape,
+            } => {
+                cfg.write_canonical_key(f)?;
+                write_conv(f, *pass, algo, shape)
+            }
+            Canonical::Tune { target, shape } => {
+                write!(f, "tune;{};", target.key_component())?;
+                write_shape(f, shape)
+            }
+        }
+    }
+}
+
+/// The conv segments after the hardware: `;conv;{mode};{shape}` for the
+/// forward pass — the historical plain-conv key — and
+/// `;conv;{pass};{mode};{shape}` otherwise, which keeps every pass key
+/// injective against every plain key by segment count alone.
+fn write_conv(
+    f: &mut fmt::Formatter<'_>,
+    pass: ConvPass,
+    mode: &dyn fmt::Display,
+    shape: &ConvShape,
+) -> fmt::Result {
+    f.write_str(";conv;")?;
+    if pass != ConvPass::Forward {
+        write!(f, "{};", pass.wire())?;
+    }
+    write!(f, "{mode};")?;
+    write_shape(f, shape)
+}
 
 /// Canonical rendering of a shape: every field, fixed order. Symmetric
 /// shapes render exactly as they always have; an asymmetric trailing pad
 /// appends a `phe`/`pwe` suffix, which keeps the rendering injective (a
 /// symmetric key never contains the suffix, and two asymmetric shapes
 /// differing only in trailing pad render differently).
-fn shape_key(s: &ConvShape) -> String {
-    let mut key = format!(
+fn write_shape(f: &mut fmt::Formatter<'_>, s: &ConvShape) -> fmt::Result {
+    write!(
+        f,
         "n{},ci{},hi{},wi{},co{},hf{},wf{},sh{},sw{},ph{},pw{},dh{},dw{}",
         s.n,
         s.ci,
@@ -39,121 +258,19 @@ fn shape_key(s: &ConvShape) -> String {
         s.pad_w,
         s.dil_h,
         s.dil_w
-    );
+    )?;
     if s.has_asymmetric_pad() {
-        key.push_str(&format!(",phe{},pwe{}", s.pad_h_end, s.pad_w_end));
+        write!(f, ",phe{},pwe{}", s.pad_h_end, s.pad_w_end)?;
     }
-    key
+    Ok(())
 }
 
-/// Canonical rendering of a TPU lowering mode *for a given shape, pass and
-/// array*: `ChannelFirst` resolves its automatic group size, and explicit
-/// groups are clamped exactly the way the engine clamps them, so every
-/// spelling that runs the same schedule shares a key. The duplication axis
-/// is pass-dependent — forward duplicates over `Ci`, dgrad/transpose over
-/// `Co`, and wgrad streams a plain GEMM with no duplication at all (every
-/// group spelling collapses to `g1`).
-fn tpu_mode_key(mode: SimMode, shape: &ConvShape, pass: ConvPass, cfg: &TpuConfig) -> String {
-    let rows = cfg.array.rows;
-    let channels = if pass.gathers_output_side() {
-        shape.co
-    } else {
-        shape.ci
-    };
-    let max_group = if pass == ConvPass::Wgrad {
-        1
-    } else {
-        rows.div_ceil(channels)
-    };
-    match mode {
-        SimMode::Explicit => "explicit".to_owned(),
-        SimMode::Indirect => "indirect".to_owned(),
-        SimMode::ChannelFirst => {
-            format!(
-                "cf:g{}",
-                tpu_group_size(rows, channels, shape.wf).clamp(1, max_group)
-            )
-        }
-        SimMode::ChannelFirstGrouped(g) => format!("cf:g{}", g.clamp(1, max_group)),
-    }
-}
-
-/// Derive the cache key for a unit of work.
+/// Derive the cache key for a unit of work: [`canonical`] rendered into
+/// one buffer.
 pub fn canonical_key(work: &Work) -> String {
-    match work {
-        Work::TpuConv { shape, mode, hw } => {
-            let cfg = resolve_tpu(hw);
-            format!(
-                "{};conv;{};{}",
-                cfg.canonical_key(),
-                tpu_mode_key(*mode, shape, ConvPass::Forward, &cfg),
-                shape_key(shape)
-            )
-        }
-        Work::TpuPass {
-            shape,
-            pass,
-            mode,
-            hw,
-        } => {
-            // A forward-pass spelling denotes exactly the plain conv, so it
-            // aliases the historical key. Non-forward keys insert the pass
-            // segment, which keeps them injective against every plain key
-            // by segment count alone.
-            if *pass == ConvPass::Forward {
-                return canonical_key(&Work::TpuConv {
-                    shape: *shape,
-                    mode: *mode,
-                    hw: *hw,
-                });
-            }
-            let cfg = resolve_tpu(hw);
-            format!(
-                "{};conv;{};{};{}",
-                cfg.canonical_key(),
-                pass.wire(),
-                tpu_mode_key(*mode, shape, *pass, &cfg),
-                shape_key(shape)
-            )
-        }
-        Work::TpuGemm { m, n, k, hw } => {
-            format!("{};gemm;m{m},n{n},k{k}", resolve_tpu(hw).canonical_key())
-        }
-        Work::GpuConv { shape, algo, hw } => {
-            // The default spec resolves to exactly the V100 preset, so
-            // pre-existing GPU requests keep their historical keys.
-            format!(
-                "{};conv;{};{}",
-                resolve_gpu(hw).canonical_key(),
-                algo,
-                shape_key(shape)
-            )
-        }
-        Work::GpuPass {
-            shape,
-            pass,
-            algo,
-            hw,
-        } => {
-            if *pass == ConvPass::Forward {
-                return canonical_key(&Work::GpuConv {
-                    shape: *shape,
-                    algo: *algo,
-                    hw: *hw,
-                });
-            }
-            format!(
-                "{};conv;{};{};{}",
-                resolve_gpu(hw).canonical_key(),
-                pass.wire(),
-                algo,
-                shape_key(shape)
-            )
-        }
-        Work::Tune { shape, target } => {
-            format!("tune;{};{}", target.key_component(), shape_key(shape))
-        }
-    }
+    let mut key = String::with_capacity(KEY_CAPACITY);
+    write!(key, "{}", canonical(work)).expect("a String accepts every write");
+    key
 }
 
 #[cfg(test)]
@@ -161,8 +278,78 @@ mod tests {
     use super::*;
     use crate::gpuspec::GpuHwSpec;
     use crate::spec::{TpuChip, TpuHwSpec};
-    use crate::tuned::TuneTarget;
-    use iconv_gpusim::GpuAlgo;
+    use crate::tuned::candidates;
+    use crate::{stable_hash64, table};
+
+    const TARGETS: [TuneTarget; 3] = [
+        TuneTarget::Tpu { chip: TpuChip::V2 },
+        TuneTarget::Tpu { chip: TpuChip::V3 },
+        TuneTarget::Gpu,
+    ];
+
+    /// Every valid tune-grid candidate for `target`, as work on `shape`.
+    fn grid_works(shape: ConvShape, target: TuneTarget) -> Vec<Work> {
+        candidates(target)
+            .iter()
+            .filter(|c| c.is_valid())
+            .map(|c| c.to_work(shape))
+            .collect()
+    }
+
+    #[test]
+    fn key_bytes_are_pinned() {
+        // The workload table, every pass leg, and per distinct paper shape
+        // a GEMM plus, per target, the tune key and every valid grid
+        // candidate. The digest was recorded when keys were still built by
+        // `format!` per segment: persisted `--tune-cache` files and
+        // hash-ring placement depend on these exact bytes.
+        let mut works = table::workload_works(false);
+        for leg in table::PASS_LEGS {
+            works.extend(table::pass_leg_works(false, leg).unwrap());
+        }
+        for shape in iconv_workloads::distinct_shapes(8) {
+            let (m, n, k) = shape.gemm_mnk();
+            works.push(Work::TpuGemm {
+                m,
+                n,
+                k,
+                hw: TpuHwSpec::default(),
+            });
+            for target in TARGETS {
+                works.push(Work::Tune { shape, target });
+                works.extend(grid_works(shape, target));
+            }
+        }
+        let mut all = String::new();
+        for w in &works {
+            all.push_str(&canonical_key(w));
+            all.push('\n');
+        }
+        assert_eq!(
+            (works.len(), all.len(), stable_hash64(&all)),
+            (33_813, 6_349_598, 0xc04a_5c67_624f_6bec)
+        );
+    }
+
+    #[test]
+    fn canonical_equality_is_key_equality() {
+        // Over each paper shape's tune grid — the aliases the search prunes
+        // by comparing `Canonical`s — two works have equal canonical values
+        // exactly when they have equal keys.
+        for shape in iconv_workloads::distinct_shapes(8) {
+            for target in TARGETS {
+                let keyed: Vec<(Canonical, String)> = grid_works(shape, target)
+                    .iter()
+                    .map(|w| (canonical(w), canonical_key(w)))
+                    .collect();
+                for (i, (ca, ka)) in keyed.iter().enumerate() {
+                    for (cb, kb) in &keyed[i + 1..] {
+                        assert_eq!(ca == cb, ka == kb, "{ka} vs {kb}");
+                    }
+                }
+            }
+        }
+    }
 
     fn shape() -> ConvShape {
         ConvShape::square(8, 64, 56, 64, 3, 1, 1).unwrap()

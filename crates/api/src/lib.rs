@@ -11,8 +11,10 @@
 //!   simulator's typed config builder) so out-of-domain overrides surface as
 //!   [`iconv_tpusim::TpuConfigError`] instead of panics downstream.
 //! - [`Work`]: one unit of simulation (TPU conv, TPU GEMM, GPU conv).
-//! - [`canonical_key`]: the injective cache-key rendering of a [`Work`] —
-//!   requests that denote the same simulation collapse to the same key.
+//! - [`canonical`] / [`canonical_key`]: a [`Work`] normalized to the
+//!   [`Canonical`] simulation it denotes, and that value's injective
+//!   cache-key rendering — requests that denote the same simulation
+//!   collapse to the same key.
 //! - [`SweepSpec`]: a compact batch description (base shape × axis ranges)
 //!   that [`SweepSpec::expand`]s into concrete [`Work`] items in a fixed,
 //!   documented order — the `batch` protocol op's "sweep" form.
@@ -53,7 +55,7 @@ pub mod zipf;
 
 pub use gpuspec::{resolve_gpu, GpuHwSpec};
 pub use hist::LatencyHist;
-pub use key::canonical_key;
+pub use key::{canonical, canonical_key, Canonical};
 pub use ring::{shard_of, stable_hash64, HashRing};
 pub use spec::{resolve_tpu, TpuChip, TpuHwSpec};
 pub use sweep::{SweepError, SweepSpec, SweepTarget, MAX_SWEEP_ITEMS};

@@ -333,7 +333,9 @@ pub struct TuneEstimate {
     pub default_cycles: f64,
     /// Candidates actually measured.
     pub candidates: u64,
-    /// Candidates pruned before measurement (invalid or key-duplicate).
+    /// Candidates pruned before measurement: hardware that fails
+    /// validation, or an alias whose [`crate::Canonical`] form equals an
+    /// already-kept candidate's.
     pub pruned: u64,
 }
 

@@ -7,10 +7,12 @@
 //! [`TunedConfig::to_work`] turns back into an ordinary estimate — that is
 //! how `"hw":"tuned"` conv requests and the tuned-vs-default bench table
 //! re-measure a search winner through the exact same path as any other
-//! request.
+//! request. [`candidates`] is the fixed grid a search measures, with the
+//! Table-II [`default_config`] first.
 
+use iconv_core::PipelineSchedule;
 use iconv_gpusim::GpuAlgo;
-use iconv_tensor::ConvShape;
+use iconv_tensor::{ConvShape, Layout};
 use iconv_tpusim::SimMode;
 
 use crate::gpuspec::GpuHwSpec;
@@ -73,6 +75,15 @@ impl TunedConfig {
         }
     }
 
+    /// Whether the config's hardware resolves to a valid configuration
+    /// (the tune grid keeps a few probes that do not).
+    pub fn is_valid(&self) -> bool {
+        match self {
+            TunedConfig::Tpu { hw, .. } => hw.resolve().is_ok(),
+            TunedConfig::Gpu { hw, .. } => hw.resolve().is_ok(),
+        }
+    }
+
     /// The target this config belongs to.
     pub fn target(&self) -> TuneTarget {
         match self {
@@ -80,6 +91,111 @@ impl TunedConfig {
             TunedConfig::Gpu { .. } => TuneTarget::Gpu,
         }
     }
+}
+
+/// The Table-II default configuration for a target — always candidate 0,
+/// and the baseline the tuned result is reported against.
+pub fn default_config(target: TuneTarget) -> TunedConfig {
+    match target {
+        TuneTarget::Tpu { chip } => TunedConfig::Tpu {
+            mode: SimMode::ChannelFirst,
+            hw: TpuHwSpec {
+                chip,
+                ..TpuHwSpec::default()
+            },
+        },
+        TuneTarget::Gpu => TunedConfig::Gpu {
+            algo: GpuAlgo::ChannelFirst { reuse: true },
+            hw: GpuHwSpec::default(),
+        },
+    }
+}
+
+/// The full candidate grid for a target, default first, fixed order.
+/// Includes points that hardware validation rejects (counted as pruned) —
+/// the grid is the *asked* space, not the feasible one.
+pub fn candidates(target: TuneTarget) -> Vec<TunedConfig> {
+    let mut out = vec![default_config(target)];
+    match target {
+        TuneTarget::Tpu { chip } => {
+            // mode x array x layout x schedule, nested in that order. The
+            // grouped modes intentionally overlap ChannelFirst's automatic
+            // group on many shapes — the search's `Canonical` dedup prunes
+            // the alias.
+            const MODES: [SimMode; 6] = [
+                SimMode::ChannelFirst,
+                SimMode::ChannelFirstGrouped(1),
+                SimMode::ChannelFirstGrouped(2),
+                SimMode::ChannelFirstGrouped(4),
+                SimMode::Explicit,
+                SimMode::Indirect,
+            ];
+            const ARRAYS: [Option<usize>; 3] = [None, Some(64), Some(256)];
+            const LAYOUTS: [Option<Layout>; 2] = [None, Some(Layout::Nhwc)];
+            const SCHEDULES: [Option<PipelineSchedule>; 2] =
+                [None, Some(PipelineSchedule::DoubleBuffered)];
+            for mode in MODES {
+                for array in ARRAYS {
+                    for layout in LAYOUTS {
+                        for schedule in SCHEDULES {
+                            out.push(TunedConfig::Tpu {
+                                mode,
+                                hw: TpuHwSpec {
+                                    chip,
+                                    array,
+                                    word_elems: None,
+                                    mxus: None,
+                                    layout,
+                                    schedule,
+                                },
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        TuneTarget::Gpu => {
+            // algo x (block tile, residency, schedule) alternates. The
+            // GemmEquivalent reference bars are deliberately absent: they
+            // are not a convolution, so they may not win a conv tune. The
+            // bare 128x128x64 tile overflows shared memory at the default
+            // residency — it stays in the grid as a validation-prune probe.
+            const ALGOS: [GpuAlgo; 5] = [
+                GpuAlgo::ChannelFirst { reuse: true },
+                GpuAlgo::ChannelFirst { reuse: false },
+                GpuAlgo::CudnnImplicit,
+                GpuAlgo::ExplicitIm2col,
+                GpuAlgo::Indirect,
+            ];
+            let base = GpuHwSpec::default();
+            let hws = [
+                base,
+                GpuHwSpec {
+                    block: Some((64, 64, 32)),
+                    ..base
+                },
+                GpuHwSpec {
+                    block: Some((128, 128, 64)),
+                    blocks_per_sm: Some(1),
+                    ..base
+                },
+                GpuHwSpec {
+                    block: Some((128, 128, 64)),
+                    ..base
+                },
+                GpuHwSpec {
+                    schedule: Some(PipelineSchedule::SingleBuffered),
+                    ..base
+                },
+            ];
+            for algo in ALGOS {
+                for hw in hws {
+                    out.push(TunedConfig::Gpu { algo, hw });
+                }
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]

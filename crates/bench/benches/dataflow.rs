@@ -1,14 +1,17 @@
 //! Criterion benchmarks of the dataflow substrates: reference GEMM, the
-//! cycle-stepped systolic array, address generation, tile scheduling, and
-//! the channel-first block traffic counts.
+//! cycle-stepped systolic array, address generation, tile scheduling, the
+//! channel-first block traffic counts, and one design-space search per
+//! target.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use iconv_api::{TpuChip, TuneTarget};
 use iconv_core::addrgen::{AddrGen, VectorMemSpec};
 use iconv_core::block::{reference, BlockConfig, BlockDecomposition, FetchOrder};
 use iconv_core::schedule::TileSchedule;
 use iconv_systolic::reference::ReferenceArray;
 use iconv_systolic::{ArrayConfig, SystolicArray};
 use iconv_tensor::{ConvShape, Matrix};
+use iconv_tune::{tune, InProcessSource, TuneOptions};
 use std::hint::black_box;
 
 fn bench_reference_gemm(c: &mut Criterion) {
@@ -111,11 +114,15 @@ fn bench_scheduling(c: &mut Criterion) {
 fn bench_block_fetch(c: &mut Criterion) {
     // ResNet-50's 56x56 3x3 layer at batch 8 under the CUDA-SDK tiling: 196
     // blocks x 9 taps through the reordered (warm) path, closed form
-    // against the set-building reference.
+    // against the set-building reference. `layer` is the whole-layer
+    // periodic sum, which counts 49 distinct block phases.
     let shape = ConvShape::square(8, 64, 56, 64, 3, 1, 1).unwrap();
     let d = BlockDecomposition::new(shape, BlockConfig::cuda_sdk(), FetchOrder::Reordered);
     let blocks = d.output_blocks();
     let mut g = c.benchmark_group("block_fetch");
+    g.bench_function("layer/resnet50_3x3_56", |b| {
+        b.iter(|| black_box(&d).layer_fetch_elems().1)
+    });
     g.bench_function("closed_form/resnet50_3x3_56", |b| {
         b.iter(|| {
             blocks
@@ -135,12 +142,31 @@ fn bench_block_fetch(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_tune_search(c: &mut Criterion) {
+    // One search of the same layer per target: alias pruning plus every
+    // surviving candidate measured in process.
+    let shape = ConvShape::square(8, 64, 56, 64, 3, 1, 1).unwrap();
+    let src = InProcessSource::new();
+    let opts = TuneOptions::default();
+    let mut g = c.benchmark_group("tune_search");
+    for (name, target) in [
+        ("tpu_v2", TuneTarget::Tpu { chip: TpuChip::V2 }),
+        ("gpu", TuneTarget::Gpu),
+    ] {
+        g.bench_function(&format!("{name}/resnet50_3x3_56"), |b| {
+            b.iter(|| tune(&src, black_box(&shape), target, &opts))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_reference_gemm,
     bench_systolic_array,
     bench_addrgen,
     bench_scheduling,
-    bench_block_fetch
+    bench_block_fetch,
+    bench_tune_search
 );
 criterion_main!(benches);

@@ -106,7 +106,10 @@ fn main() {
 
     eprintln!("[per-experiment wall-clock, {jobs} worker(s)]");
     for (name, secs) in &timings {
-        eprintln!("  {name:>10}  {secs:>8.3}s");
+        eprintln!("  {name:>10}  {:>8.1} ms", secs * 1e3);
     }
-    eprintln!("[expall completed in {:.1}s]", t0.elapsed().as_secs_f64());
+    eprintln!(
+        "[expall completed in {:.1} ms]",
+        t0.elapsed().as_secs_f64() * 1e3
+    );
 }

@@ -11,8 +11,8 @@
 
 use iconv_api::proto::tuned_config_json;
 use iconv_api::TuneTarget;
-use iconv_bench::experiments::tune_table::{target_label, tune_opts};
-use iconv_tune::{tune, InProcessSource, TuneEstimate, ALL_TARGETS};
+use iconv_bench::experiments::tune_table::{sweep, target_label, tune_opts};
+use iconv_tune::TuneEstimate;
 use iconv_workloads::Model;
 
 const USAGE: &str = "usage: tunebench [--out PATH] [--skip-serve-check]";
@@ -117,14 +117,13 @@ fn main() {
         }
     };
     let t0 = std::time::Instant::now();
-    let src = InProcessSource::new();
     let opts = tune_opts();
     let models = iconv_workloads::all_models(BATCH);
 
     // The full sweep: every layer x every target, kept in (target, model,
     // layer) order for both the JSON and the serve cross-check.
+    let sweep = sweep(&models);
     let mut violations = 0u64;
-    let mut sweep: Vec<(TuneTarget, Vec<Vec<TuneEstimate>>)> = Vec::new();
     let mut out = String::with_capacity(1 << 16);
     out.push_str("{\n  \"bench\": \"tune\",\n");
     out.push_str(&format!(
@@ -132,27 +131,21 @@ fn main() {
         opts.jobs, opts.batch_chunk
     ));
     out.push_str("  \"targets\": [\n");
-    for (ti, &target) in ALL_TARGETS.iter().enumerate() {
-        let mut per_model: Vec<Vec<TuneEstimate>> = Vec::with_capacity(models.len());
+    for (ti, (target, per_model)) in sweep.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"target\": \"{}\", \"models\": [\n",
-            target_label(target)
+            target_label(*target)
         ));
-        for (mi, m) in models.iter().enumerate() {
-            let ests: Vec<TuneEstimate> = m
-                .layers
-                .iter()
-                .map(|l| tune(&src, &l.shape, target, &opts))
-                .collect();
+        for (mi, (m, ests)) in models.iter().zip(per_model).enumerate() {
             out.push_str(&format!(
                 "      {{\"model\": \"{}\", \"layers\": [\n",
                 m.name
             ));
-            for (li, (l, est)) in m.layers.iter().zip(&ests).enumerate() {
+            for (li, (l, est)) in m.layers.iter().zip(ests).enumerate() {
                 if est.tuned_cycles > est.default_cycles {
                     eprintln!(
                         "tunebench: VIOLATION {} {}/{}: tuned {} > default {}",
-                        target_label(target),
+                        target_label(*target),
                         m.name,
                         l.name,
                         est.tuned_cycles,
@@ -179,13 +172,11 @@ fn main() {
                 "      ]}}{}\n",
                 if mi + 1 < models.len() { "," } else { "" }
             ));
-            per_model.push(ests);
         }
         out.push_str(&format!(
             "    ]}}{}\n",
-            if ti + 1 < ALL_TARGETS.len() { "," } else { "" }
+            if ti + 1 < sweep.len() { "," } else { "" }
         ));
-        sweep.push((target, per_model));
     }
     out.push_str("  ],\n");
     out.push_str(&format!("  \"violations\": {violations},\n"));
@@ -211,7 +202,7 @@ fn main() {
     eprintln!(
         "tunebench: {} targets x {layers} layers, {violations} violation(s), serve check {} \
          [wrote {} in {:.1}s]",
-        ALL_TARGETS.len(),
+        sweep.len(),
         if serve_check {
             if serve_ok {
                 "passed"

@@ -8,11 +8,16 @@
 //! cycles can never exceed default cycles — the report shows how much the
 //! fixed design points of Table II leave on the table per network, and the
 //! AlexNet detail shows *which* design-space moves win per layer. The
-//! machine-readable form of the same sweep is `tunebench` -> `BENCH_tune.json`.
+//! machine-readable form of the same [`sweep`] is `tunebench` ->
+//! `BENCH_tune.json`.
+
+use std::collections::HashMap;
 
 use iconv_api::proto::tpu_mode_wire;
 use iconv_api::{TpuChip, TuneTarget, TunedConfig};
-use iconv_tune::{tune, InProcessSource, TuneOptions, ALL_TARGETS};
+use iconv_tensor::ConvShape;
+use iconv_tune::{tune, InProcessSource, TuneEstimate, TuneOptions, ALL_TARGETS};
+use iconv_workloads::Model;
 
 use crate::fmt::{banner, header};
 
@@ -69,19 +74,48 @@ pub fn tune_opts() -> TuneOptions {
     }
 }
 
+/// One search per layer of every model on every target, as
+/// `(target, [model][layer])` in [`ALL_TARGETS`] and `models` order. The
+/// model tables repeat shapes (276 layers over 159 distinct shapes at
+/// batch 8), and a search is a pure function of (shape, target), so each
+/// distinct pair is searched once and repeats reuse its estimate.
+pub fn sweep(models: &[Model]) -> Vec<(TuneTarget, Vec<Vec<TuneEstimate>>)> {
+    let src = InProcessSource::new();
+    let opts = tune_opts();
+    ALL_TARGETS
+        .iter()
+        .map(|&target| {
+            let mut searched: HashMap<ConvShape, TuneEstimate> = HashMap::new();
+            let per_model = models
+                .iter()
+                .map(|m| {
+                    m.layers
+                        .iter()
+                        .map(|l| {
+                            *searched
+                                .entry(l.shape)
+                                .or_insert_with(|| tune(&src, &l.shape, target, &opts))
+                        })
+                        .collect()
+                })
+                .collect();
+            (target, per_model)
+        })
+        .collect()
+}
+
 /// Render the experiment's full report.
 pub fn report() -> String {
     let mut out = String::new();
-    let src = InProcessSource::new();
-    let opts = tune_opts();
     let models = iconv_workloads::all_models(8);
+    let sweep = sweep(&models);
 
-    for target in ALL_TARGETS {
+    for (target, per_model) in &sweep {
         banner(
             &mut out,
             &format!(
                 "Tuned vs Table-II default cycles, target {} (batch 8)",
-                target_label(target)
+                target_label(*target)
             ),
         );
         header(
@@ -96,12 +130,11 @@ pub fn report() -> String {
             ],
             &[12, 6, 8, 12, 12, 7],
         );
-        for m in &models {
+        for (m, ests) in models.iter().zip(per_model) {
             let mut default = 0.0f64;
             let mut tuned = 0.0f64;
             let mut improved = 0usize;
-            for l in &m.layers {
-                let est = tune(&src, &l.shape, target, &opts);
+            for (l, est) in m.layers.iter().zip(ests) {
                 default += est.default_cycles * l.count as f64;
                 tuned += est.tuned_cycles * l.count as f64;
                 if est.tuned_cycles < est.default_cycles {
@@ -133,8 +166,11 @@ pub fn report() -> String {
         &[8, 10, 10, 7, 30],
     );
     let v2 = TuneTarget::Tpu { chip: TpuChip::V2 };
-    for l in &alexnet.layers {
-        let est = tune(&src, &l.shape, v2, &opts);
+    let (_, v2_models) = sweep
+        .iter()
+        .find(|(target, _)| *target == v2)
+        .expect("the sweep covers tpu-v2");
+    for (l, est) in alexnet.layers.iter().zip(&v2_models[0]) {
         crate::outln!(
             out,
             "{:>8}  {:>10.0}  {:>10.0}  {:>7.3}  {}",

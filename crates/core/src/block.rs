@@ -238,15 +238,41 @@ impl BlockDecomposition {
 
     /// Whole-layer global traffic in elements: `(naive, with_reuse)` summed
     /// over all blocks. The ratio drives the Fig. 18b speedups.
+    ///
+    /// Summed by period, not block by block. A block's counts depend only
+    /// on its rows, so the column blocks over one row range are identical,
+    /// and a shift by whole images leaves the counts unchanged. Full row
+    /// blocks start at multiples of `bm`, so they repeat with period
+    /// `P = Ho·Wo / gcd(Ho·Wo, bm)`: only the first `min(P, full)` are
+    /// counted, each weighted by how often its phase recurs. The ragged last
+    /// block is added, and the total multiplied by the column-block count.
+    /// Tested equal to [`reference::layer_fetch_elems`], the per-block sum.
     pub fn layer_fetch_elems(&self) -> (u64, u64) {
-        let mut cold = 0;
-        let mut warm = 0;
-        for b in self.output_blocks() {
-            let (c, w) = self.block_fetch_elems(&b);
-            cold += c;
-            warm += w;
+        let (m, n, _) = self.shape.gemm_mnk();
+        let (bm, cols) = (self.config.bm, self.config.bn.min(n));
+        let per_img = self.plane.ho * self.plane.wo;
+        let full = m / bm;
+        let period = per_img / gcd(per_img, bm);
+        let (mut cold, mut warm) = (0, 0);
+        let mut add = |row0: usize, rows: usize, times: usize| {
+            let block = OutputBlock {
+                row0,
+                rows,
+                col0: 0,
+                cols,
+            };
+            let (c, w) = self.block_fetch_elems(&block);
+            cold += c * times as u64;
+            warm += w * times as u64;
+        };
+        for phase in 0..full.min(period) {
+            add(phase * bm, bm, (full - phase).div_ceil(period));
         }
-        (cold, warm)
+        if m % bm != 0 {
+            add(full * bm, m % bm, 1);
+        }
+        let col_blocks = n.div_ceil(self.config.bn) as u64;
+        (cold * col_blocks, warm * col_blocks)
     }
 
     /// Functional execution: compute the convolution with the block-level
@@ -289,6 +315,15 @@ impl BlockDecomposition {
             }
         }
         iconv_tensor::im2col::ofmap_from_matrix(&self.shape, &out)
+    }
+}
+
+/// Greatest common divisor (Euclid).
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
     }
 }
 
@@ -426,7 +461,9 @@ pub fn reordered_taps(shape: &ConvShape) -> Vec<FilterTile> {
 /// [`BlockDecomposition::block_fetch_elems`] (see
 /// `tests/block_equivalence.rs`). They materialize whole-plane working sets
 /// and per-block coordinate sets, so they cost O(outputs) per tap where the
-/// closed forms cost O(1).
+/// closed forms cost O(1). [`layer_fetch_elems`](reference::layer_fetch_elems)
+/// is the block-by-block sum the periodic
+/// [`BlockDecomposition::layer_fetch_elems`] replaced.
 pub mod reference {
     use super::{BlockDecomposition, OutputBlock};
     use crate::decompose::FilterTile;
@@ -512,6 +549,16 @@ pub mod reference {
             }
         }
         set
+    }
+
+    /// [`BlockDecomposition::layer_fetch_elems`] as the sum of
+    /// [`BlockDecomposition::block_fetch_elems`] over every
+    /// [`BlockDecomposition::output_blocks`] tile.
+    pub fn layer_fetch_elems(d: &BlockDecomposition) -> (u64, u64) {
+        d.output_blocks()
+            .iter()
+            .map(|b| d.block_fetch_elems(b))
+            .fold((0, 0), |(cold, warm), (c, w)| (cold + c, warm + w))
     }
 
     /// [`BlockDecomposition::block_fetch_elems`] by building each tap's

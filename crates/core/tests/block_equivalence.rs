@@ -3,10 +3,13 @@
 //! `FilterTile::working_set`), integer for integer.
 //!
 //! Random shapes cover per-axis strides and dilations 1–3, symmetric,
-//! asymmetric and "SAME" padding, batches 1–3, and block heights from one
-//! row to beyond two images, so blocks straddle image boundaries and the
-//! last block is ragged. A deterministic sweep then checks every distinct
-//! paper shape at batch 1 and 8 under the tune grid's block tiles.
+//! asymmetric and "SAME" padding, batches 1–3, block heights from one row
+//! to beyond two images, so blocks straddle image boundaries and the last
+//! block is ragged, and block widths from one column to beyond `Co`, so a
+//! layer spans one or several column blocks. The periodic whole-layer
+//! count equals the block-by-block sum. A deterministic sweep then checks
+//! every distinct paper shape at batch 1 and 8 under the tune grid's block
+//! tiles.
 
 use iconv_core::block::{
     reference, reordered_taps, BlockConfig, BlockDecomposition, FetchOrder, OutputBlock,
@@ -25,16 +28,16 @@ fn strided_shapes() -> impl Strategy<Value = ConvShape> {
         (1usize..=3, 1usize..=3, 1usize..=4, 1usize..=4), // n, ci, hf, wf
         (1usize..=3, 1usize..=3, 1usize..=3, 1usize..=3), // stride h/w, dil h/w
         (0usize..=2, 0usize..=2, 0usize..=2, 0usize..=2), // pads: h, w, h end, w end
-        (0usize..=2, 0usize..=9, 0usize..=9),             // pad mode, extra h/w
+        (0usize..=2, 0usize..=9, 0usize..=9, 1usize..=9), // pad mode, extra h/w, co
     )
         .prop_filter_map(
             "filter must fit",
-            |((n, ci, hf, wf), (sh, sw, dh, dw), (ph, pw, phe, pwe), (mode, xh, xw))| {
+            |((n, ci, hf, wf), (sh, sw, dh, dw), (ph, pw, phe, pwe), (mode, xh, xw, co))| {
                 let (eff_h, eff_w) = (dh * (hf - 1) + 1, dw * (wf - 1) + 1);
                 let (phe, pwe) = if mode == 1 { (phe, pwe) } else { (ph, pw) };
                 let hi = eff_h.saturating_sub(ph + phe).max(1) + xh;
                 let wi = eff_w.saturating_sub(pw + pwe).max(1) + xw;
-                let b = ConvShape::new(n, ci, hi, wi, 2, hf, wf)
+                let b = ConvShape::new(n, ci, hi, wi, co, hf, wf)
                     .stride_hw(sh, sw)
                     .dilation_hw(dh, dw);
                 match mode {
@@ -57,6 +60,17 @@ fn enumerate_valid(out: usize, stride: usize, off: usize, pad: usize, extent: us
                 .is_some_and(|x| x < extent)
         })
         .count()
+}
+
+fn assert_layer_matches(d: &BlockDecomposition) {
+    assert_eq!(
+        d.layer_fetch_elems(),
+        reference::layer_fetch_elems(d),
+        "{} {:?} {:?}",
+        d.shape(),
+        d.config(),
+        d.order()
+    );
 }
 
 fn assert_blocks_match(d: &BlockDecomposition, blocks: &[OutputBlock]) {
@@ -105,15 +119,22 @@ proptest! {
     }
 
     /// Tap order and per-block `(cold, warm)` equal the set-building
-    /// references under both fetch orders, for every block.
+    /// references under both fetch orders, for every block, and the
+    /// whole-layer count equals the per-block sum.
     #[test]
-    fn closed_form_matches_reference(shape in strided_shapes(), bm_seed in 0usize..1 << 20) {
+    fn closed_form_matches_reference(
+        shape in strided_shapes(),
+        bm_seed in 0usize..1 << 20,
+        bn_seed in 0usize..1 << 20,
+    ) {
         prop_assert_eq!(reordered_taps(&shape), reference::reordered_taps(&shape), "{}", shape);
         let bm = 1 + bm_seed % (2 * shape.out_h() * shape.out_w() + 3);
-        let cfg = BlockConfig { bm, bn: shape.co, bk: 4 };
+        let bn = 1 + bn_seed % (shape.co + 1);
+        let cfg = BlockConfig { bm, bn, bk: 4 };
         for order in ORDERS {
             let d = BlockDecomposition::new(shape, cfg, order);
             assert_blocks_match(&d, &d.output_blocks());
+            assert_layer_matches(&d);
         }
     }
 }
@@ -138,26 +159,13 @@ fn sample_blocks(d: &BlockDecomposition) -> Vec<OutputBlock> {
     idx.into_iter().map(|i| blocks[i]).collect()
 }
 
-/// The distinct paper shapes at batch `n`.
-fn paper_shapes(n: usize) -> Vec<ConvShape> {
-    let mut shapes: Vec<ConvShape> = Vec::new();
-    for model in iconv_workloads::all_models(n) {
-        for layer in &model.layers {
-            if !shapes.contains(&layer.shape) {
-                shapes.push(layer.shape);
-            }
-        }
-    }
-    shapes
-}
-
 /// The tap order of every paper shape equals the reference. The order
 /// depends only on the spatial geometry, so one shape per geometry at
 /// batch 1 stands for all channel counts and batches.
 #[test]
 fn paper_tap_orders_match_reference() {
     let mut seen = BTreeSet::new();
-    for s in paper_shapes(1) {
+    for s in iconv_workloads::distinct_shapes(1) {
         let geometry = (
             (s.hi, s.wi, s.hf, s.wf, s.stride_h, s.stride_w),
             (s.pad_h, s.pad_w, s.pad_h_end, s.pad_w_end, s.dil_h, s.dil_w),
@@ -169,19 +177,21 @@ fn paper_tap_orders_match_reference() {
 }
 
 /// Every distinct paper shape at batch 1 and 8, under each tune-grid block
-/// tile and both orders. Blocks are sampled per layer so the oracle stays
-/// cheap in debug builds.
+/// tile and both orders. Blocks are sampled per layer so the set-building
+/// oracle stays cheap in debug builds; the whole-layer count is checked
+/// against the full per-block sum.
 #[test]
 fn paper_blocks_match_reference() {
     let tiles = [(128, 128, 32), (64, 64, 32), (128, 128, 64)];
     let mut shapes = 0;
     for batch in [1, 8] {
-        for shape in paper_shapes(batch) {
+        for shape in iconv_workloads::distinct_shapes(batch) {
             shapes += 1;
             for (bm, bn, bk) in tiles {
                 for order in ORDERS {
                     let d = BlockDecomposition::new(shape, BlockConfig { bm, bn, bk }, order);
                     assert_blocks_match(&d, &sample_blocks(&d));
+                    assert_layer_matches(&d);
                 }
             }
         }

@@ -74,8 +74,18 @@ impl GpuConfig {
     /// component of `iconv-serve` cache keys. Floats use shortest
     /// round-trip `Display`, so distinct values never alias.
     pub fn canonical_key(&self) -> String {
+        let mut key = String::new();
+        self.write_canonical_key(&mut key)
+            .expect("a String accepts every write");
+        key
+    }
+
+    /// Write [`Self::canonical_key`] into `out`, so a larger key can embed
+    /// it without an intermediate `String`.
+    pub fn write_canonical_key(&self, out: &mut impl fmt::Write) -> fmt::Result {
         let d = &self.dram;
-        format!(
+        write!(
+            out,
             "gpu;sms{};tc{};clk{};sh{};eb{};dram{},{},{},{},{},{},{},{};blk{}x{}x{};bpsm{};launch{};swpe{};sched{}",
             self.sms,
             self.tc_macs_per_sm_cycle,

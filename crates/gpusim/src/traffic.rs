@@ -19,7 +19,6 @@
 use crate::config::GpuConfig;
 use iconv_core::{BlockDecomposition, ConvPass, FetchOrder};
 use iconv_tensor::ConvShape;
-use std::collections::HashMap;
 
 /// Traffic (bytes) and the characteristic DRAM run length of a schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,41 +93,21 @@ pub fn channel_last(cfg: &GpuConfig, shape: &ConvShape) -> Traffic {
 }
 
 /// Traffic of the block-level channel-first schedule, with or without the
-/// inter-tile reuse reordering. Exact per-block accounting via
-/// [`BlockDecomposition::block_fetch_elems`], which counts each tap in
-/// closed form (O(1) per tap per block), memoized over the repeating block
-/// pattern within each batch image: same-phase blocks of later images reuse
-/// the first image's counts.
+/// inter-tile reuse reordering. Exact whole-layer accounting via
+/// [`BlockDecomposition::layer_fetch_elems`], which counts each distinct
+/// block phase in closed form (O(1) per tap) and weights it by how often
+/// the phase recurs over the layer's row and column blocks.
 pub fn channel_first(cfg: &GpuConfig, shape: &ConvShape, reuse: bool) -> Traffic {
     let order = if reuse {
         FetchOrder::Reordered
     } else {
         FetchOrder::Naive
     };
-    let decomp = BlockDecomposition::new(*shape, cfg.block, order);
-    let per_img = shape.out_h() * shape.out_w();
-    // Blocks whose row ranges are congruent modulo the per-image row count
-    // have identical pixel footprints: memoize on the phase. NOTE: the
-    // per-block *image multiplier* varies between same-phase blocks only
-    // when a block spans a batch boundary, which the phase key also
-    // captures via `row0 % per_img + rows > per_img`.
-    let mut cache: HashMap<(usize, usize), u64> = HashMap::new();
-    let mut a_elems = 0u64;
-    for block in decomp.output_blocks() {
-        let key = (block.row0 % per_img, block.rows);
-        let elems = *cache.entry(key).or_insert_with(|| {
-            let (cold, warm) = decomp.block_fetch_elems(&block);
-            // The paper's naive order "has no data reuse" (Fig. 12): each
-            // tap's sub-tile is fetched in full. The reordering keeps the
-            // previous tap resident and fetches only the fresh pixels.
-            if reuse {
-                warm
-            } else {
-                cold
-            }
-        });
-        a_elems += elems;
-    }
+    let (cold, warm) = BlockDecomposition::new(*shape, cfg.block, order).layer_fetch_elems();
+    // The paper's naive order "has no data reuse" (Fig. 12): each tap's
+    // sub-tile is fetched in full. The reordering keeps the previous tap
+    // resident and fetches only the fresh pixels.
+    let a_elems = if reuse { warm } else { cold };
     let (_bm, _bn, b_bytes, c_bytes) = common_bc(cfg, shape);
     // Tap fetches: contiguous across channels (× consecutive pixels when the
     // layer is dense in `w`).
@@ -314,13 +293,17 @@ mod tests {
     }
 
     #[test]
-    fn memoization_matches_direct_sum() {
-        // The memoized per-phase cache must reproduce the exact per-block
-        // sum from iconv-core.
+    fn channel_first_matches_the_per_block_sum() {
+        // The periodic whole-layer count must reproduce the exact per-block
+        // sum from iconv-core, with and without reuse; batch 3 puts blocks
+        // across image boundaries.
         let s = ConvShape::square(3, 4, 10, 8, 3, 1, 1).unwrap();
-        let t = channel_first(&cfg(), &s, true);
-        let decomp = BlockDecomposition::new(s, cfg().block, FetchOrder::Reordered);
-        let (_, warm) = decomp.layer_fetch_elems();
-        assert_eq!(t.a_bytes, warm * cfg().elem_bytes);
+        for (reuse, order) in [(false, FetchOrder::Naive), (true, FetchOrder::Reordered)] {
+            let t = channel_first(&cfg(), &s, reuse);
+            let decomp = BlockDecomposition::new(s, cfg().block, order);
+            let (cold, warm) = iconv_core::block::reference::layer_fetch_elems(&decomp);
+            let want = if reuse { warm } else { cold };
+            assert_eq!(t.a_bytes, want * cfg().elem_bytes, "reuse={reuse}");
+        }
     }
 }

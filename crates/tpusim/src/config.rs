@@ -120,9 +120,19 @@ impl TpuConfig {
     /// they denote the same simulated machine. Floats use Rust's shortest
     /// round-trip `Display`, so distinct values never alias.
     pub fn canonical_key(&self) -> String {
+        let mut key = String::new();
+        self.write_canonical_key(&mut key)
+            .expect("a String accepts every write");
+        key
+    }
+
+    /// Write [`Self::canonical_key`] into `out`, so a larger key can embed
+    /// it without an intermediate `String`.
+    pub fn write_canonical_key(&self, out: &mut impl fmt::Write) -> fmt::Result {
         let vm = &self.vector_mem;
         let d = &self.dram;
-        format!(
+        write!(
+            out,
             "tpu;a{}x{};clk{};vm{}x{}x{};dram{},{},{},{},{},{},{},{};lay{:?};frac{};disp{};stages{};mxus{};sched{}",
             self.array.rows,
             self.array.cols,

@@ -4,8 +4,9 @@
 //! asks, per layer, whether any nearby design-space point beats it. A
 //! [`search::tune`] enumerates a fixed candidate grid (TPU: lowering mode
 //! x array size x ifmap layout x pipeline schedule; GPU: kernel algorithm
-//! x block tile x residency x schedule), prunes infeasible and
-//! key-aliasing points, measures the rest through a [`CycleSource`], and
+//! x block tile x residency x schedule), prunes infeasible and aliasing
+//! points (equal [`iconv_api::Canonical`] forms), measures the rest through
+//! a [`CycleSource`], and
 //! returns the strict-minimum winner with the Table-II default as the
 //! reported baseline — candidate 0 *is* the default, so tuned cycles never
 //! exceed default cycles.

@@ -2,20 +2,17 @@
 //!
 //! A tune is a deterministic function of (shape, target): enumerate a
 //! fixed candidate grid with the Table-II default configuration first,
-//! prune candidates that fail hardware validation or alias an already-kept
-//! canonical key, measure the survivors through a [`CycleSource`], and keep
+//! prune candidates that fail hardware validation or normalize to an
+//! already-kept [`iconv_api::Canonical`] (the value a cache key renders),
+//! measure the survivors through a [`CycleSource`], and keep
 //! the strict minimum with first-in-order tie-breaking. Because candidate 0
 //! *is* the default, the winner's cycles are `<=` the default's by
 //! construction — the CI gate checks the inequality end to end anyway.
 
-use std::collections::BTreeSet;
-
 use iconv_api::proto::TuneEstimate;
-use iconv_api::{canonical_key, GpuHwSpec, TpuChip, TpuHwSpec, TuneTarget, TunedConfig, Work};
-use iconv_core::PipelineSchedule;
-use iconv_gpusim::GpuAlgo;
-use iconv_tensor::{ConvShape, Layout};
-use iconv_tpusim::SimMode;
+pub use iconv_api::tuned::{candidates, default_config};
+use iconv_api::{canonical, canonical_key, TpuChip, TuneTarget, TunedConfig, Work};
+use iconv_tensor::ConvShape;
 
 use crate::source::{CycleCount, CycleSource};
 
@@ -41,118 +38,6 @@ impl Default for TuneOptions {
     }
 }
 
-/// The Table-II default configuration for a target — always candidate 0,
-/// and the baseline the tuned result is reported against.
-pub fn default_config(target: TuneTarget) -> TunedConfig {
-    match target {
-        TuneTarget::Tpu { chip } => TunedConfig::Tpu {
-            mode: SimMode::ChannelFirst,
-            hw: TpuHwSpec {
-                chip,
-                ..TpuHwSpec::default()
-            },
-        },
-        TuneTarget::Gpu => TunedConfig::Gpu {
-            algo: GpuAlgo::ChannelFirst { reuse: true },
-            hw: GpuHwSpec::default(),
-        },
-    }
-}
-
-/// The full candidate grid for a target, default first, fixed order.
-/// Includes points that hardware validation rejects (counted as pruned) —
-/// the grid is the *asked* space, not the feasible one.
-pub fn candidates(target: TuneTarget) -> Vec<TunedConfig> {
-    let mut out = vec![default_config(target)];
-    match target {
-        TuneTarget::Tpu { chip } => {
-            // mode x array x layout x schedule, nested in that order. The
-            // grouped modes intentionally overlap ChannelFirst's automatic
-            // group on many shapes — canonical-key dedup prunes the alias.
-            const MODES: [SimMode; 6] = [
-                SimMode::ChannelFirst,
-                SimMode::ChannelFirstGrouped(1),
-                SimMode::ChannelFirstGrouped(2),
-                SimMode::ChannelFirstGrouped(4),
-                SimMode::Explicit,
-                SimMode::Indirect,
-            ];
-            const ARRAYS: [Option<usize>; 3] = [None, Some(64), Some(256)];
-            const LAYOUTS: [Option<Layout>; 2] = [None, Some(Layout::Nhwc)];
-            const SCHEDULES: [Option<PipelineSchedule>; 2] =
-                [None, Some(PipelineSchedule::DoubleBuffered)];
-            for mode in MODES {
-                for array in ARRAYS {
-                    for layout in LAYOUTS {
-                        for schedule in SCHEDULES {
-                            out.push(TunedConfig::Tpu {
-                                mode,
-                                hw: TpuHwSpec {
-                                    chip,
-                                    array,
-                                    word_elems: None,
-                                    mxus: None,
-                                    layout,
-                                    schedule,
-                                },
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        TuneTarget::Gpu => {
-            // algo x (block tile, residency, schedule) alternates. The
-            // GemmEquivalent reference bars are deliberately absent: they
-            // are not a convolution, so they may not win a conv tune. The
-            // bare 128x128x64 tile overflows shared memory at the default
-            // residency — it stays in the grid as a validation-prune probe.
-            const ALGOS: [GpuAlgo; 5] = [
-                GpuAlgo::ChannelFirst { reuse: true },
-                GpuAlgo::ChannelFirst { reuse: false },
-                GpuAlgo::CudnnImplicit,
-                GpuAlgo::ExplicitIm2col,
-                GpuAlgo::Indirect,
-            ];
-            let base = GpuHwSpec::default();
-            let hws = [
-                base,
-                GpuHwSpec {
-                    block: Some((64, 64, 32)),
-                    ..base
-                },
-                GpuHwSpec {
-                    block: Some((128, 128, 64)),
-                    blocks_per_sm: Some(1),
-                    ..base
-                },
-                GpuHwSpec {
-                    block: Some((128, 128, 64)),
-                    ..base
-                },
-                GpuHwSpec {
-                    schedule: Some(PipelineSchedule::SingleBuffered),
-                    ..base
-                },
-            ];
-            for algo in ALGOS {
-                for hw in hws {
-                    out.push(TunedConfig::Gpu { algo, hw });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Whether a candidate's hardware resolves to a valid configuration.
-fn is_valid(cfg: &TunedConfig) -> bool {
-    match cfg {
-        TunedConfig::Tpu { hw, .. } => hw.resolve().is_ok(),
-        TunedConfig::Gpu { hw, .. } => hw.resolve().is_ok(),
-    }
-}
-
 /// Run the design-space search for one layer.
 ///
 /// Deterministic in every argument: the candidate order is fixed, pruning
@@ -169,20 +54,24 @@ pub fn tune(
 ) -> TuneEstimate {
     let grid = candidates(target);
     let mut kept: Vec<(TunedConfig, Work)> = Vec::with_capacity(grid.len());
-    let mut seen = BTreeSet::new();
+    let mut seen = Vec::with_capacity(grid.len());
     let mut pruned = 0u64;
     for cfg in grid {
-        if !is_valid(&cfg) {
+        if !cfg.is_valid() {
             pruned += 1;
             continue;
         }
         let work = cfg.to_work(*shape);
-        // Candidates that denote the same simulation collapse to the same
-        // canonical key; measuring one of them is measuring all of them.
-        if seen.insert(canonical_key(&work)) {
-            kept.push((cfg, work));
-        } else {
+        // Candidates that denote the same simulation normalize to the same
+        // canonical value (and so key); measuring one of them is measuring
+        // all of them. The grid holds at most 73 points, so a linear scan
+        // suffices.
+        let canon = canonical(&work);
+        if seen.contains(&canon) {
             pruned += 1;
+        } else {
+            seen.push(canon);
+            kept.push((cfg, work));
         }
     }
 

@@ -8,16 +8,24 @@
 //! * **Persistence** — `to_json`/`from_json` is the identity, and corrupt
 //!   input (truncations, byte flips) is rejected with an error, never a
 //!   panic.
+//! * **Alias pruning** — `tune` dedups candidates on their typed canonical
+//!   form; recomputing the pruning with a set of rendered canonical keys
+//!   gives the same `candidates`, `pruned` and `best`, on random shapes and
+//!   on every distinct paper shape.
 //!
 //! Runs under the offline `proptest` shim: deterministic seed, no
 //! shrinking — a failing case prints its inputs via the assertion message.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use iconv_api::proto::tune_body;
-use iconv_api::{TpuChip, TuneTarget};
+use iconv_api::{canonical_key, TpuChip, TuneTarget, TunedConfig};
 use iconv_tensor::ConvShape;
-use iconv_tune::{tune, tune_key, InProcessSource, TuneCache, TuneOptions};
+use iconv_tune::{
+    candidates, tune, tune_key, CycleSource, InProcessSource, TuneCache, TuneOptions, ALL_TARGETS,
+};
 
 /// Small-but-varied valid conv shapes (the tuner measures dozens of
 /// candidates per case, so keep each simulation cheap).
@@ -44,8 +52,70 @@ fn target_strategy() -> impl proptest::strategy::Strategy<Value = TuneTarget> {
     ])
 }
 
+/// `(candidates, pruned, best)` of a search whose alias pruning keeps a
+/// `BTreeSet` of rendered canonical keys — the string dedup `tune` used
+/// before it compared typed canonical values.
+fn string_dedup_search(shape: &ConvShape, target: TuneTarget) -> (u64, u64, TunedConfig) {
+    let src = InProcessSource::new();
+    let mut seen = BTreeSet::new();
+    let mut kept = Vec::new();
+    let mut pruned = 0u64;
+    for cfg in candidates(target) {
+        if cfg.is_valid() && seen.insert(canonical_key(&cfg.to_work(*shape))) {
+            kept.push(cfg);
+        } else {
+            pruned += 1;
+        }
+    }
+    let cycles: Vec<f64> = kept
+        .iter()
+        .map(|cfg| src.estimate(&cfg.to_work(*shape)).as_f64())
+        .collect();
+    let mut best = 0usize;
+    for (i, &c) in cycles.iter().enumerate() {
+        if c < cycles[best] {
+            best = i;
+        }
+    }
+    (kept.len() as u64, pruned, kept[best])
+}
+
+fn assert_matches_string_dedup(shape: &ConvShape, target: TuneTarget) {
+    let got = tune(
+        &InProcessSource::new(),
+        shape,
+        target,
+        &TuneOptions::default(),
+    );
+    assert_eq!(
+        (got.candidates, got.pruned, got.best),
+        string_dedup_search(shape, target),
+        "{shape} {target:?}"
+    );
+}
+
+/// Every distinct paper shape (batch 8) on every target.
+#[test]
+fn paper_shapes_prune_like_the_string_dedup() {
+    for shape in &iconv_workloads::distinct_shapes(8) {
+        for target in ALL_TARGETS {
+            assert_matches_string_dedup(shape, target);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Typed dedup and string dedup prune the same candidates and pick
+    /// the same winner.
+    #[test]
+    fn tune_prunes_like_the_string_dedup(
+        shape in shape_strategy(),
+        target in target_strategy(),
+    ) {
+        assert_matches_string_dedup(&shape, target);
+    }
 
     /// Same key, same answer: the worker count and the measurement
     /// chunking never change a tune result, byte for byte.

@@ -341,6 +341,20 @@ pub fn all_models(n: usize) -> Vec<Model> {
     ]
 }
 
+/// The distinct layer shapes of [`all_models`] at batch size `n`, in table
+/// order (159 at batch 8, over 276 layers).
+pub fn distinct_shapes(n: usize) -> Vec<ConvShape> {
+    let mut shapes: Vec<ConvShape> = Vec::new();
+    for model in all_models(n) {
+        for layer in &model.layers {
+            if !shapes.contains(&layer.shape) {
+                shapes.push(layer.shape);
+            }
+        }
+    }
+    shapes
+}
+
 /// The five networks of Table I (memory-overhead comparison).
 pub fn table1_models(n: usize) -> Vec<Model> {
     vec![alexnet(n), resnet50(n), vgg16(n), yolov2(n), densenet121(n)]
