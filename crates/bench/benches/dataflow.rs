@@ -11,7 +11,7 @@ use iconv_core::schedule::TileSchedule;
 use iconv_systolic::reference::ReferenceArray;
 use iconv_systolic::{ArrayConfig, SystolicArray};
 use iconv_tensor::{ConvShape, Matrix};
-use iconv_tune::{tune, InProcessSource, TuneOptions};
+use iconv_tune::{tune, InProcessSource};
 use std::hint::black_box;
 
 fn bench_reference_gemm(c: &mut Criterion) {
@@ -147,14 +147,13 @@ fn bench_tune_search(c: &mut Criterion) {
     // surviving candidate measured in process.
     let shape = ConvShape::square(8, 64, 56, 64, 3, 1, 1).unwrap();
     let src = InProcessSource::new();
-    let opts = TuneOptions::default();
     let mut g = c.benchmark_group("tune_search");
     for (name, target) in [
         ("tpu_v2", TuneTarget::Tpu { chip: TpuChip::V2 }),
         ("gpu", TuneTarget::Gpu),
     ] {
         g.bench_function(&format!("{name}/resnet50_3x3_56"), |b| {
-            b.iter(|| tune(&src, black_box(&shape), target, &opts))
+            b.iter(|| tune(&src, black_box(&shape), target))
         });
     }
     g.finish();

@@ -7,11 +7,13 @@
 //! in-process search value for value, and the `serve.tune.*` ledger must
 //! conserve), and writes the whole table as JSON. Exit status is the CI
 //! gate: nonzero when any layer regresses past its default or the serve
-//! cross-check fails.
+//! cross-check fails. The sweep runs on `ICONV_JOBS` workers (default: the
+//! core count); the JSON apart from `wall_seconds` is the same for any
+//! count.
 
 use iconv_api::proto::tuned_config_json;
 use iconv_api::TuneTarget;
-use iconv_bench::experiments::tune_table::{sweep, target_label, tune_opts};
+use iconv_bench::experiments::tune_table::{sweep, target_label};
 use iconv_tune::TuneEstimate;
 use iconv_workloads::Model;
 
@@ -117,19 +119,16 @@ fn main() {
         }
     };
     let t0 = std::time::Instant::now();
-    let opts = tune_opts();
     let models = iconv_workloads::all_models(BATCH);
 
     // The full sweep: every layer x every target, kept in (target, model,
-    // layer) order for both the JSON and the serve cross-check.
-    let sweep = sweep(&models);
+    // layer) order for both the JSON and the serve cross-check. The bytes
+    // do not depend on the worker count.
+    let sweep = sweep(&models, iconv_par::default_jobs());
     let mut violations = 0u64;
     let mut out = String::with_capacity(1 << 16);
     out.push_str("{\n  \"bench\": \"tune\",\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"batch\": {BATCH}, \"jobs\": {}, \"batch_chunk\": {}}},\n",
-        opts.jobs, opts.batch_chunk
-    ));
+    out.push_str(&format!("  \"config\": {{\"batch\": {BATCH}}},\n"));
     out.push_str("  \"targets\": [\n");
     for (ti, (target, per_model)) in sweep.iter().enumerate() {
         out.push_str(&format!(

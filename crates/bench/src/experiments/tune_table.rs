@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use iconv_api::proto::tpu_mode_wire;
 use iconv_api::{TpuChip, TuneTarget, TunedConfig};
 use iconv_tensor::ConvShape;
-use iconv_tune::{tune, InProcessSource, TuneEstimate, TuneOptions, ALL_TARGETS};
+use iconv_tune::{tune, InProcessSource, TuneEstimate, ALL_TARGETS};
 use iconv_workloads::Model;
 
 use crate::fmt::{banner, header};
@@ -62,53 +62,61 @@ pub fn describe(cfg: &TunedConfig) -> String {
     }
 }
 
-/// The measurement options every tune in this report (and `tunebench`)
-/// uses. One worker: an in-process estimate takes microseconds, so
-/// spreading each 16-candidate chunk over threads costs more than it saves,
-/// and `expall` already runs its experiments in parallel. The search result
-/// is pinned invariant to both knobs, so the bytes match any other setting.
-pub fn tune_opts() -> TuneOptions {
-    TuneOptions {
-        jobs: 1,
-        batch_chunk: 16,
-    }
-}
-
 /// One search per layer of every model on every target, as
 /// `(target, [model][layer])` in [`ALL_TARGETS`] and `models` order. The
 /// model tables repeat shapes (276 layers over 159 distinct shapes at
 /// batch 8), and a search is a pure function of (shape, target), so each
 /// distinct pair is searched once and repeats reuse its estimate.
-pub fn sweep(models: &[Model]) -> Vec<(TuneTarget, Vec<Vec<TuneEstimate>>)> {
+///
+/// The distinct pairs are independent tasks spread over `jobs` workers;
+/// `jobs == 1` searches them in order on the calling thread. The estimates
+/// go back in (target, model, layer) order, so the result is identical for
+/// every worker count.
+pub fn sweep(models: &[Model], jobs: usize) -> Vec<(TuneTarget, Vec<Vec<TuneEstimate>>)> {
+    // Distinct shapes in first-seen order, and each layer's index into them.
+    let mut shapes: Vec<ConvShape> = Vec::new();
+    let mut index: HashMap<ConvShape, usize> = HashMap::new();
+    let layer_shapes: Vec<Vec<usize>> = models
+        .iter()
+        .map(|m| {
+            m.layers
+                .iter()
+                .map(|l| {
+                    *index.entry(l.shape).or_insert_with(|| {
+                        shapes.push(l.shape);
+                        shapes.len() - 1
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    let pairs: Vec<(TuneTarget, ConvShape)> = ALL_TARGETS
+        .iter()
+        .flat_map(|&target| shapes.iter().map(move |&shape| (target, shape)))
+        .collect();
     let src = InProcessSource::new();
-    let opts = tune_opts();
+    let searched =
+        iconv_par::par_map_jobs(jobs, &pairs, |(target, shape)| tune(&src, shape, *target));
     ALL_TARGETS
         .iter()
-        .map(|&target| {
-            let mut searched: HashMap<ConvShape, TuneEstimate> = HashMap::new();
-            let per_model = models
+        .enumerate()
+        .map(|(ti, &target)| {
+            let row = &searched[ti * shapes.len()..(ti + 1) * shapes.len()];
+            let per_model = layer_shapes
                 .iter()
-                .map(|m| {
-                    m.layers
-                        .iter()
-                        .map(|l| {
-                            *searched
-                                .entry(l.shape)
-                                .or_insert_with(|| tune(&src, &l.shape, target, &opts))
-                        })
-                        .collect()
-                })
+                .map(|layers| layers.iter().map(|&si| row[si]).collect())
                 .collect();
             (target, per_model)
         })
         .collect()
 }
 
-/// Render the experiment's full report.
-pub fn report() -> String {
+/// Render the experiment's full report, spreading the sweep over `jobs`
+/// workers.
+pub fn report(jobs: usize) -> String {
     let mut out = String::new();
     let models = iconv_workloads::all_models(8);
-    let sweep = sweep(&models);
+    let sweep = sweep(&models, jobs);
 
     for (target, per_model) in &sweep {
         banner(
@@ -184,7 +192,8 @@ pub fn report() -> String {
     out
 }
 
-/// Run the experiment, printing the report.
+/// Run the experiment on [`iconv_par::default_jobs`] workers, printing
+/// the report.
 pub fn run() {
-    print!("{}", report());
+    print!("{}", report(iconv_par::default_jobs()));
 }

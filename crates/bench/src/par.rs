@@ -10,8 +10,10 @@
 
 use std::time::Instant;
 
-/// One runnable experiment: its id and report renderer.
-pub type Experiment = (&'static str, fn() -> String);
+/// One runnable experiment: its id and report renderer. The renderer is
+/// handed the run's worker count; an experiment with independent inner
+/// tasks (the tune sweep) spreads them over it, and the others ignore it.
+pub type Experiment = (&'static str, fn(usize) -> String);
 
 /// Result of one experiment executed by [`run_experiments`].
 #[derive(Debug, Clone)]
@@ -26,39 +28,27 @@ pub struct ExperimentRun {
 
 /// Every paper experiment in figure order — the order `expall` prints.
 pub const EXPERIMENTS: &[Experiment] = &[
-    ("table1", crate::experiments::table1::report),
-    ("fig02", crate::experiments::fig02::report),
-    ("fig04", crate::experiments::fig04::report),
-    ("fig13", crate::experiments::fig13::report),
-    ("fig14", crate::experiments::fig14::report),
-    ("fig15", crate::experiments::fig15::report),
-    ("fig16", crate::experiments::fig16::report),
-    ("fig17", crate::experiments::fig17::report),
-    ("fig18", crate::experiments::fig18::report),
+    ("table1", |_| crate::experiments::table1::report()),
+    ("fig02", |_| crate::experiments::fig02::report()),
+    ("fig04", |_| crate::experiments::fig04::report()),
+    ("fig13", |_| crate::experiments::fig13::report()),
+    ("fig14", |_| crate::experiments::fig14::report()),
+    ("fig15", |_| crate::experiments::fig15::report()),
+    ("fig16", |_| crate::experiments::fig16::report()),
+    ("fig17", |_| crate::experiments::fig17::report()),
+    ("fig18", |_| crate::experiments::fig18::report()),
     ("tune", crate::experiments::tune_table::report),
-    ("passes", crate::experiments::passes::report),
-];
-
-/// The ablation studies, for `--ablations` sweeps.
-pub const ABLATIONS: &[Experiment] = &[
-    ("batching", crate::ablations::batching::report),
-    ("dataflow", crate::ablations::dataflow::report),
-    ("depthwise", crate::ablations::depthwise::report),
-    ("energy", crate::ablations::energy::report),
-    ("layout", crate::ablations::layout::report),
-    ("multicore", crate::ablations::multicore::report),
-    ("scalability", crate::ablations::scalability::report),
-    ("sparsity", crate::ablations::sparsity::report),
-    ("tpuv3", crate::ablations::tpuv3::report),
-    ("training", crate::ablations::training::report),
+    ("passes", |_| crate::experiments::passes::report()),
 ];
 
 /// Run a set of experiments on `jobs` workers, returning results in the
-/// input order with per-experiment wall-clock timings.
+/// input order with per-experiment wall-clock timings. Each renderer is
+/// also handed `jobs`, so `jobs == 1` runs everything on the calling
+/// thread.
 pub fn run_set(jobs: usize, set: &[Experiment]) -> Vec<ExperimentRun> {
     iconv_par::par_map_jobs(jobs, set, |&(name, f)| {
         let t0 = Instant::now();
-        let report = f();
+        let report = f(jobs);
         ExperimentRun {
             name,
             report,

@@ -1,13 +1,16 @@
 //! End-to-end determinism of the parallel experiment engine: fan-out must
 //! never change what `expall` prints or what `results/summary.json` records.
 
+use iconv_bench::experiments::tune_table::sweep;
 use iconv_bench::{par, summary, traces};
 
 /// Every experiment report is byte-identical between a sequential run and a
 /// 4-worker run, and arrives in figure order. The slowest experiments
-/// (fig17/fig18 GPU sweeps, the full tune-table search) are skipped here to
-/// keep the debug-mode suite fast; `par::tests`, the tune proptests, and
-/// the release-mode `expall` cover the full set.
+/// (fig17/fig18 GPU sweeps, the full tune-table report) are skipped here to
+/// keep the debug-mode suite fast. The tune sweep's fan-out is pinned by
+/// `tune_sweep_identical_across_worker_counts`, and the CI `experiments`
+/// job `cmp`s the release `expall` stdout at `--jobs 1`, `2` and `3`,
+/// which covers all three.
 #[test]
 fn experiment_reports_identical_across_worker_counts() {
     let set: Vec<_> = par::EXPERIMENTS
@@ -24,6 +27,17 @@ fn experiment_reports_identical_across_worker_counts() {
         assert!(!s.report.is_empty(), "{name} rendered nothing");
         assert_eq!(s.report, p.report, "report drift for {name}");
     }
+}
+
+/// The tune sweep spreads its distinct (target, shape) searches over the
+/// workers and puts the estimates back in (target, model, layer) order:
+/// the result is identical for 1 and 4 workers.
+#[test]
+fn tune_sweep_identical_across_worker_counts() {
+    let models = iconv_workloads::all_models(8);
+    let seq = sweep(&models, 1);
+    assert_eq!(seq.len(), iconv_tune::ALL_TARGETS.len());
+    assert_eq!(seq, sweep(&models, 4), "tune sweep depends on worker count");
 }
 
 /// The headline-metric JSON — the part of `results/summary.json` that is

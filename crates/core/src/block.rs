@@ -275,6 +275,24 @@ impl BlockDecomposition {
         (cold * col_blocks, warm * col_blocks)
     }
 
+    /// Whole-layer traffic without reuse, in elements: the first half of
+    /// [`Self::layer_fetch_elems`], counted without walking the blocks.
+    /// With no reuse a block fetches, per tap, its rows inside the tap's
+    /// valid rectangle, and the row blocks partition the rows, so the
+    /// layer fetches `Σ_taps N·|valid|·Ci` per column block. That depends
+    /// on neither `bm` nor the tap order. Tested equal to the first half of
+    /// [`reference::layer_fetch_elems`].
+    pub fn layer_cold_elems(&self) -> u64 {
+        let (_, n, _) = self.shape.gemm_mnk();
+        let per_img: u64 = self
+            .steps
+            .iter()
+            .map(|s| (s.valid.h.len() * s.valid.w.len()) as u64)
+            .sum();
+        let col_blocks = n.div_ceil(self.config.bn) as u64;
+        per_img * (self.shape.n * self.shape.ci) as u64 * col_blocks
+    }
+
     /// Functional execution: compute the convolution with the block-level
     /// schedule (each block accumulates privately — no cross-block writes),
     /// proving the schedule needs no atomics. Output in `NCHW`.

@@ -7,9 +7,9 @@
 //! to beyond two images, so blocks straddle image boundaries and the last
 //! block is ragged, and block widths from one column to beyond `Co`, so a
 //! layer spans one or several column blocks. The periodic whole-layer
-//! count equals the block-by-block sum. A deterministic sweep then checks
-//! every distinct paper shape at batch 1 and 8 under the tune grid's block
-//! tiles.
+//! count and the closed-form no-reuse count equal the block-by-block sum.
+//! A deterministic sweep then checks every distinct paper shape at batch 1
+//! and 8 under the tune grid's block tiles.
 
 use iconv_core::block::{
     reference, reordered_taps, BlockConfig, BlockDecomposition, FetchOrder, OutputBlock,
@@ -62,15 +62,13 @@ fn enumerate_valid(out: usize, stride: usize, off: usize, pad: usize, extent: us
         .count()
 }
 
+/// The periodic whole-layer count and the no-reuse closed form equal the
+/// block-by-block sum.
 fn assert_layer_matches(d: &BlockDecomposition) {
-    assert_eq!(
-        d.layer_fetch_elems(),
-        reference::layer_fetch_elems(d),
-        "{} {:?} {:?}",
-        d.shape(),
-        d.config(),
-        d.order()
-    );
+    let want = reference::layer_fetch_elems(d);
+    let ctx = format!("{} {:?} {:?}", d.shape(), d.config(), d.order());
+    assert_eq!(d.layer_fetch_elems(), want, "{ctx}");
+    assert_eq!(d.layer_cold_elems(), want.0, "{ctx}");
 }
 
 fn assert_blocks_match(d: &BlockDecomposition, blocks: &[OutputBlock]) {
@@ -178,8 +176,8 @@ fn paper_tap_orders_match_reference() {
 
 /// Every distinct paper shape at batch 1 and 8, under each tune-grid block
 /// tile and both orders. Blocks are sampled per layer so the set-building
-/// oracle stays cheap in debug builds; the whole-layer count is checked
-/// against the full per-block sum.
+/// oracle stays cheap in debug builds; the whole-layer counts, with and
+/// without reuse, are checked against the full per-block sum.
 #[test]
 fn paper_blocks_match_reference() {
     let tiles = [(128, 128, 32), (64, 64, 32), (128, 128, 64)];

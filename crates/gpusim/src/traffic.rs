@@ -93,21 +93,22 @@ pub fn channel_last(cfg: &GpuConfig, shape: &ConvShape) -> Traffic {
 }
 
 /// Traffic of the block-level channel-first schedule, with or without the
-/// inter-tile reuse reordering. Exact whole-layer accounting via
+/// inter-tile reuse reordering. Exact whole-layer accounting: with reuse via
 /// [`BlockDecomposition::layer_fetch_elems`], which counts each distinct
 /// block phase in closed form (O(1) per tap) and weights it by how often
-/// the phase recurs over the layer's row and column blocks.
+/// the phase recurs over the layer's row and column blocks; without it via
+/// [`BlockDecomposition::layer_cold_elems`], one product per tap.
 pub fn channel_first(cfg: &GpuConfig, shape: &ConvShape, reuse: bool) -> Traffic {
-    let order = if reuse {
-        FetchOrder::Reordered
-    } else {
-        FetchOrder::Naive
-    };
-    let (cold, warm) = BlockDecomposition::new(*shape, cfg.block, order).layer_fetch_elems();
     // The paper's naive order "has no data reuse" (Fig. 12): each tap's
     // sub-tile is fetched in full. The reordering keeps the previous tap
     // resident and fetches only the fresh pixels.
-    let a_elems = if reuse { warm } else { cold };
+    let a_elems = if reuse {
+        BlockDecomposition::new(*shape, cfg.block, FetchOrder::Reordered)
+            .layer_fetch_elems()
+            .1
+    } else {
+        BlockDecomposition::new(*shape, cfg.block, FetchOrder::Naive).layer_cold_elems()
+    };
     let (_bm, _bn, b_bytes, c_bytes) = common_bc(cfg, shape);
     // Tap fetches: contiguous across channels (× consecutive pixels when the
     // layer is dense in `w`).

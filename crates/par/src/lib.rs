@@ -106,47 +106,6 @@ where
         .collect()
 }
 
-/// Run every closure in `tasks` in parallel, returning results in task order.
-///
-/// The task-list analogue of [`par_map`] for heterogeneous jobs (e.g. "run
-/// each experiment"): each closure runs exactly once.
-pub fn par_run<R, F>(jobs: usize, tasks: Vec<F>) -> Vec<R>
-where
-    R: Send,
-    F: FnOnce() -> R + Send,
-{
-    assert!(jobs > 0, "jobs must be >= 1");
-    let workers = jobs.min(tasks.len());
-    if workers <= 1 {
-        return tasks.into_iter().map(|t| t()).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let tasks: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let slots: Vec<Mutex<Option<R>>> = (0..tasks.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(i) else { break };
-                let task = task
-                    .lock()
-                    .expect("task slot poisoned")
-                    .take()
-                    .expect("task already taken");
-                *slots[i].lock().expect("result slot poisoned") = Some(task());
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker skipped a slot")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,24 +133,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert_eq!(par_map_jobs(8, &empty, |&x| x), Vec::<u32>::new());
         assert_eq!(par_map_jobs(8, &[41u32], |&x| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn par_run_executes_each_task_once() {
-        use std::sync::atomic::AtomicU32;
-        let counter = AtomicU32::new(0);
-        let tasks: Vec<_> = (0..16)
-            .map(|i| {
-                let counter = &counter;
-                move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    i * 2
-                }
-            })
-            .collect();
-        let got = par_run(4, tasks);
-        assert_eq!(got, (0..16).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(counter.load(Ordering::Relaxed), 16);
     }
 
     #[test]

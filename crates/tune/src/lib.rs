@@ -12,8 +12,10 @@
 //! exceed default cycles.
 //!
 //! Everything is deterministic: same `(shape, target)` in, byte-identical
-//! [`iconv_api::proto::TuneEstimate`] out, for every worker count and
-//! measurement chunking (proptest-pinned). That is what lets a tune ride
+//! [`iconv_api::proto::TuneEstimate`] out. A search measures on the calling
+//! thread; callers with many searches spread whole searches over workers
+//! (`iconv-bench`'s `tune_table::sweep`, pinned identical for 1 and 4
+//! workers, and the serve worker pool). That is what lets a tune ride
 //! the serve stack as ordinary cached work — `Work::Tune` has a canonical
 //! key like any estimate, so the striped cache, single-flight, the batch
 //! op, and the `routed` hash ring all apply unchanged.
@@ -36,6 +38,6 @@ pub mod store;
 
 pub use iconv_api::proto::TuneEstimate;
 pub use iconv_api::{TuneTarget, TunedConfig};
-pub use search::{candidates, default_config, tune, tune_key, tune_work, TuneOptions, ALL_TARGETS};
+pub use search::{candidates, default_config, tune, tune_key, tune_work, ALL_TARGETS};
 pub use source::{CycleCount, CycleSource, InProcessSource};
 pub use store::TuneCache;

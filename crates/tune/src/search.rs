@@ -16,42 +16,16 @@ use iconv_tensor::ConvShape;
 
 use crate::source::{CycleCount, CycleSource};
 
-/// Measurement mechanics for a search. Neither knob may change the result:
-/// `estimate_many` preserves order for every worker count, and chunking
-/// only partitions the candidate table — the determinism proptests pin
-/// both invariances byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TuneOptions {
-    /// Worker count handed to [`CycleSource::estimate_many`].
-    pub jobs: usize,
-    /// Candidates measured per `estimate_many` call (a networked source
-    /// turns each chunk into one batched request). Clamped to >= 1.
-    pub batch_chunk: usize,
-}
-
-impl Default for TuneOptions {
-    fn default() -> Self {
-        Self {
-            jobs: 1,
-            batch_chunk: 8,
-        }
-    }
-}
-
 /// Run the design-space search for one layer.
 ///
 /// Deterministic in every argument: the candidate order is fixed, pruning
-/// is value-based, measurement order is preserved by the
-/// [`CycleSource::estimate_many`] contract for any `opts.jobs`, and
-/// chunking by `opts.batch_chunk` only partitions the table. Two calls
-/// with the same `(shape, target)` return identical [`TuneEstimate`]s on
-/// any bit-deterministic source.
-pub fn tune(
-    src: &dyn CycleSource,
-    shape: &ConvShape,
-    target: TuneTarget,
-    opts: &TuneOptions,
-) -> TuneEstimate {
+/// is value-based, and the survivors are measured in one sequential
+/// [`CycleSource::estimate_many`] call, which preserves their order. Two
+/// calls with the same `(shape, target)` return identical
+/// [`TuneEstimate`]s on any bit-deterministic source. A search runs on the
+/// calling thread; callers with many searches spread whole searches over
+/// their workers.
+pub fn tune(src: &dyn CycleSource, shape: &ConvShape, target: TuneTarget) -> TuneEstimate {
     let grid = candidates(target);
     let mut kept: Vec<(TunedConfig, Work)> = Vec::with_capacity(grid.len());
     let mut seen = Vec::with_capacity(grid.len());
@@ -76,15 +50,11 @@ pub fn tune(
     }
 
     let works: Vec<Work> = kept.iter().map(|(_, w)| *w).collect();
-    let chunk = opts.batch_chunk.max(1);
-    let mut cycles: Vec<f64> = Vec::with_capacity(works.len());
-    for part in works.chunks(chunk) {
-        cycles.extend(
-            src.estimate_many(opts.jobs, part)
-                .into_iter()
-                .map(CycleCount::as_f64),
-        );
-    }
+    let cycles: Vec<f64> = src
+        .estimate_many(1, &works)
+        .into_iter()
+        .map(CycleCount::as_f64)
+        .collect();
 
     // Strict minimum, first-in-order tie-break; index 0 is the default.
     let mut best = 0usize;
@@ -141,7 +111,7 @@ mod tests {
     fn tuned_never_beats_nothing_and_never_loses_to_default() {
         let src = InProcessSource::new();
         for target in ALL_TARGETS {
-            let est = tune(&src, &shape(), target, &TuneOptions::default());
+            let est = tune(&src, &shape(), target);
             assert!(
                 est.tuned_cycles <= est.default_cycles,
                 "{target:?}: tuned {} > default {}",
@@ -158,42 +128,12 @@ mod tests {
         let src = InProcessSource::new();
         // The bare 128x128x64 tile fails shared-memory validation for all
         // four algos.
-        let gpu = tune(&src, &shape(), TuneTarget::Gpu, &TuneOptions::default());
+        let gpu = tune(&src, &shape(), TuneTarget::Gpu);
         assert!(gpu.pruned >= 4, "gpu pruned {}", gpu.pruned);
         // ci=64 on 128 rows: auto group 2, so ChannelFirstGrouped(2)
         // aliases ChannelFirst and dedup must catch it.
-        let tpu = tune(
-            &src,
-            &shape(),
-            TuneTarget::Tpu { chip: TpuChip::V2 },
-            &TuneOptions::default(),
-        );
+        let tpu = tune(&src, &shape(), TuneTarget::Tpu { chip: TpuChip::V2 });
         assert!(tpu.pruned >= 1, "tpu pruned {}", tpu.pruned);
-    }
-
-    #[test]
-    fn search_is_invariant_to_jobs_and_chunking() {
-        let src = InProcessSource::new();
-        let reference = tune(
-            &src,
-            &shape(),
-            TuneTarget::Tpu { chip: TpuChip::V3 },
-            &TuneOptions {
-                jobs: 1,
-                batch_chunk: 1,
-            },
-        );
-        for jobs in [2, 5] {
-            for batch_chunk in [3, 7, 64] {
-                let got = tune(
-                    &src,
-                    &shape(),
-                    TuneTarget::Tpu { chip: TpuChip::V3 },
-                    &TuneOptions { jobs, batch_chunk },
-                );
-                assert_eq!(got, reference, "jobs={jobs} chunk={batch_chunk}");
-            }
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use iconv_gpusim::{GpuAlgo, GpuConfig, GpuSim};
 use iconv_tensor::ConvShape;
 use iconv_tpusim::{SimMode, Simulator, TpuConfig};
 
-use crate::search::{tune, TuneOptions};
+use crate::search::tune;
 
 /// A cycle total in the currency of whichever engine produced it: TPU
 /// estimates are exact integers, GPU estimates are analytic `f64`s whose
@@ -259,7 +259,7 @@ impl CycleSource for InProcessSource {
             Work::Tune { shape, target } => {
                 // A tune is itself work: run the search against this same
                 // source (candidates are concrete works, so no recursion).
-                let est = tune(self, shape, *target, &TuneOptions::default());
+                let est = tune(self, shape, *target);
                 CycleCount::Tuned(est.tuned_cycles)
             }
         }

@@ -165,7 +165,7 @@ impl TuneCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{tune, tune_key, TuneOptions, ALL_TARGETS};
+    use crate::search::{tune, tune_key, ALL_TARGETS};
     use crate::source::InProcessSource;
     use iconv_tensor::ConvShape;
 
@@ -174,7 +174,7 @@ mod tests {
         let shape = ConvShape::square(4, 32, 28, 64, 3, 1, 1).unwrap();
         let mut cache = TuneCache::new();
         for target in ALL_TARGETS {
-            let est = tune(&src, &shape, target, &TuneOptions::default());
+            let est = tune(&src, &shape, target);
             cache.insert(tune_key(&shape, target), est);
         }
         cache

@@ -1,10 +1,5 @@
 //! Property tests for the tuner and its persistent cache.
 //!
-//! * **Determinism** — one `TuneKey` has one answer: for any shape and
-//!   target, every `(jobs, batch_chunk)` measurement mechanics returns a
-//!   `TuneEstimate` whose rendered `tune_body` is byte-identical to the
-//!   sequential reference. This is the invariant that lets a tune be
-//!   cached, single-flighted, and fleet-routed like any other estimate.
 //! * **Persistence** — `to_json`/`from_json` is the identity, and corrupt
 //!   input (truncations, byte flips) is rejected with an error, never a
 //!   panic.
@@ -20,11 +15,10 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use iconv_api::proto::tune_body;
 use iconv_api::{canonical_key, TpuChip, TuneTarget, TunedConfig};
 use iconv_tensor::ConvShape;
 use iconv_tune::{
-    candidates, tune, tune_key, CycleSource, InProcessSource, TuneCache, TuneOptions, ALL_TARGETS,
+    candidates, tune, tune_key, CycleSource, InProcessSource, TuneCache, ALL_TARGETS,
 };
 
 /// Small-but-varied valid conv shapes (the tuner measures dozens of
@@ -81,12 +75,7 @@ fn string_dedup_search(shape: &ConvShape, target: TuneTarget) -> (u64, u64, Tune
 }
 
 fn assert_matches_string_dedup(shape: &ConvShape, target: TuneTarget) {
-    let got = tune(
-        &InProcessSource::new(),
-        shape,
-        target,
-        &TuneOptions::default(),
-    );
+    let got = tune(&InProcessSource::new(), shape, target);
     assert_eq!(
         (got.candidates, got.pruned, got.best),
         string_dedup_search(shape, target),
@@ -117,23 +106,6 @@ proptest! {
         assert_matches_string_dedup(&shape, target);
     }
 
-    /// Same key, same answer: the worker count and the measurement
-    /// chunking never change a tune result, byte for byte.
-    #[test]
-    fn tune_is_deterministic_across_jobs_and_chunking(
-        shape in shape_strategy(),
-        target in target_strategy(),
-        jobs in 1usize..6,
-        batch_chunk in 1usize..12,
-    ) {
-        let src = InProcessSource::new();
-        let reference = tune(&src, &shape, target, &TuneOptions { jobs: 1, batch_chunk: 1 });
-        let got = tune(&src, &shape, target, &TuneOptions { jobs, batch_chunk });
-        prop_assert_eq!(got, reference);
-        prop_assert_eq!(tune_body(&got), tune_body(&reference));
-        prop_assert!(got.tuned_cycles <= got.default_cycles);
-    }
-
     /// The JSON rendering round-trips exactly, and its rendering is a
     /// fixed point (so save/load/save is stable on disk).
     #[test]
@@ -145,7 +117,7 @@ proptest! {
         let src = InProcessSource::new();
         let mut cache = TuneCache::new();
         for shape in [&a, &b] {
-            let est = tune(&src, shape, target, &TuneOptions::default());
+            let est = tune(&src, shape, target);
             cache.insert(tune_key(shape, target), est);
         }
         let text = cache.to_json();
@@ -168,7 +140,7 @@ proptest! {
     ) {
         let src = InProcessSource::new();
         let mut cache = TuneCache::new();
-        cache.insert(tune_key(&shape, target), tune(&src, &shape, target, &TuneOptions::default()));
+        cache.insert(tune_key(&shape, target), tune(&src, &shape, target));
         let text = cache.to_json();
 
         // Truncation strictly inside the document can never be valid.
