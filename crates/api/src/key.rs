@@ -5,16 +5,18 @@
 //! engine's own normalization, and every shape field. Requests that denote
 //! the same simulation — default vs. explicit padding, `dilation:1` spelled
 //! or omitted, an `hw` override equal to the chip default, an auto
-//! channel-first group vs. the same group requested explicitly — collapse
-//! to one key; requests that differ in any observable way never collide,
+//! channel-first group vs. the same group requested explicitly, a forward
+//! group wider than the filter vs. one exactly `Wf` wide — collapse to one
+//! key; requests that differ in any observable way never collide,
 //! because every component is an injective rendering
 //! ([`iconv_tpusim::TpuConfig::canonical_key`] and friends).
 //!
 //! Keying is two steps. [`canonical`] normalizes a [`Work`] into a
 //! [`Canonical`] value, and [`canonical_key`] renders that value through
 //! its `Display`. Two works share a key exactly when their `Canonical`s are
-//! equal, so an in-process dedup (the tune search's alias pruning) compares
-//! values and never builds the text.
+//! equal. The group normalization is exposed as [`tpu_mode`], so the tune
+//! search's alias pruning compares resolved configs and normalized modes
+//! and never builds the text.
 
 use std::fmt::{self, Write as _};
 
@@ -151,37 +153,48 @@ pub fn canonical(work: &Work) -> Canonical {
     }
 }
 
-/// A TPU conv pass with its lowering mode normalized *for this shape, pass
-/// and array*: `ChannelFirst` resolves its automatic group size, and
-/// explicit groups are clamped exactly the way the engine clamps them. The
-/// duplication axis is pass-dependent — forward duplicates over `Ci`,
-/// dgrad/transpose over `Co`, and wgrad streams a plain GEMM with no
-/// duplication at all (every group spelling collapses to `g1`).
+/// A TPU conv pass with its lowering mode normalized by [`tpu_mode`].
 fn tpu_conv(shape: ConvShape, pass: ConvPass, mode: SimMode, cfg: TpuConfig) -> Canonical {
-    let rows = cfg.array.rows;
+    Canonical::TpuConv {
+        pass,
+        mode: tpu_mode(&shape, pass, mode, cfg.array.rows),
+        cfg,
+        shape,
+    }
+}
+
+/// A TPU lowering mode normalized *for this shape, pass and array height*:
+/// `ChannelFirst` resolves its automatic group size, and explicit groups
+/// are clamped to the largest group the engine can tell apart. The
+/// duplication axis is pass-dependent:
+///
+/// - forward duplicates over `Ci` and groups taps within one filter row,
+///   so a group wider than `Wf` runs the `Wf` schedule;
+/// - dgrad/transpose duplicate over `Co`, and their workspace grows with
+///   the unclamped group, so only the array height bounds it;
+/// - wgrad streams a plain GEMM with no duplication at all, so every group
+///   spelling collapses to `g1`.
+///
+/// [`canonical`] keys with this, and the tune search prunes aliases with
+/// it, so both agree on which spellings are one simulation.
+pub fn tpu_mode(shape: &ConvShape, pass: ConvPass, mode: SimMode, rows: usize) -> TpuMode {
     let channels = if pass.gathers_output_side() {
         shape.co
     } else {
         shape.ci
     };
-    let max_group = if pass == ConvPass::Wgrad {
-        1
-    } else {
-        rows.div_ceil(channels)
+    let max_group = match pass {
+        ConvPass::Wgrad => 1,
+        ConvPass::Forward => rows.div_ceil(channels).min(shape.wf),
+        ConvPass::Dgrad | ConvPass::Transpose => rows.div_ceil(channels),
     };
-    let mode = match mode {
+    match mode {
         SimMode::Explicit => TpuMode::Explicit,
         SimMode::Indirect => TpuMode::Indirect,
         SimMode::ChannelFirst => {
             TpuMode::ChannelFirst(tpu_group_size(rows, channels, shape.wf).clamp(1, max_group))
         }
         SimMode::ChannelFirstGrouped(g) => TpuMode::ChannelFirst(g.clamp(1, max_group)),
-    };
-    Canonical::TpuConv {
-        pass,
-        mode,
-        cfg,
-        shape,
     }
 }
 
@@ -300,9 +313,11 @@ mod tests {
     fn key_bytes_are_pinned() {
         // The workload table, every pass leg, and per distinct paper shape
         // a GEMM plus, per target, the tune key and every valid grid
-        // candidate. The digest was recorded when keys were still built by
-        // `format!` per segment: persisted `--tune-cache` files and
-        // hash-ring placement depend on these exact bytes.
+        // candidate. The byte length was recorded when keys were still
+        // built by `format!` per segment: persisted `--tune-cache` files and
+        // hash-ring placement depend on these exact bytes. The digest moved
+        // once since, when forward groups wider than the filter started to
+        // key as `Wf` (`cf:g4` → `cf:g3` on ci=8, 3×3: same length).
         let mut works = table::workload_works(false);
         for leg in table::PASS_LEGS {
             works.extend(table::pass_leg_works(false, leg).unwrap());
@@ -327,7 +342,7 @@ mod tests {
         }
         assert_eq!(
             (works.len(), all.len(), stable_hash64(&all)),
-            (33_813, 6_349_598, 0xc04a_5c67_624f_6bec)
+            (33_813, 6_349_598, 0xb3ed_5eed_5d43_4049)
         );
     }
 
@@ -605,6 +620,38 @@ mod tests {
             spell(SimMode::ChannelFirstGrouped(1)),
             spell(SimMode::ChannelFirstGrouped(2))
         );
+    }
+
+    #[test]
+    fn forward_groups_wider_than_the_filter_key_and_run_as_wf() {
+        // The forward engine groups taps within one filter row, so every
+        // group from `Wf` up runs the `Wf` schedule: ci=8 on 3×3 and 1×1
+        // filters (the array fits 16 copies of 8 channels), a 7×7 stem and
+        // every paper shape, on three array heights.
+        let mut shapes = vec![
+            ConvShape::square(4, 8, 28, 64, 3, 1, 1).unwrap(),
+            ConvShape::square(4, 8, 28, 64, 1, 1, 0).unwrap(),
+            ConvShape::square(2, 3, 56, 64, 7, 2, 3).unwrap(),
+        ];
+        shapes.extend(iconv_workloads::distinct_shapes(8));
+        for shape in shapes {
+            for array in [Some(64), None, Some(256)] {
+                let hw = TpuHwSpec {
+                    array,
+                    ..TpuHwSpec::default()
+                };
+                let sim = iconv_tpusim::Simulator::new(resolve_tpu(&hw));
+                let run = |g| {
+                    let mode = SimMode::ChannelFirstGrouped(g);
+                    let key = canonical_key(&Work::TpuConv { shape, mode, hw });
+                    (key, sim.simulate_conv("l", &shape, mode))
+                };
+                let at_wf = run(shape.wf);
+                for g in shape.wf + 1..=shape.wf + 2 {
+                    assert_eq!(run(g), at_wf, "{shape} array {array:?} g{g}");
+                }
+            }
+        }
     }
 
     #[test]

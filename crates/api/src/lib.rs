@@ -55,7 +55,7 @@ pub mod zipf;
 
 pub use gpuspec::{resolve_gpu, GpuHwSpec};
 pub use hist::LatencyHist;
-pub use key::{canonical, canonical_key, Canonical};
+pub use key::{canonical, canonical_key, tpu_mode, Canonical, TpuMode};
 pub use ring::{shard_of, stable_hash64, HashRing};
 pub use spec::{resolve_tpu, TpuChip, TpuHwSpec};
 pub use sweep::{SweepError, SweepSpec, SweepTarget, MAX_SWEEP_ITEMS};

@@ -11,7 +11,7 @@ use iconv_core::schedule::TileSchedule;
 use iconv_systolic::reference::ReferenceArray;
 use iconv_systolic::{ArrayConfig, SystolicArray};
 use iconv_tensor::{ConvShape, Matrix};
-use iconv_tune::{tune, InProcessSource};
+use iconv_tune::tune;
 use std::hint::black_box;
 
 fn bench_reference_gemm(c: &mut Criterion) {
@@ -144,16 +144,17 @@ fn bench_block_fetch(c: &mut Criterion) {
 
 fn bench_tune_search(c: &mut Criterion) {
     // One search of the same layer per target: alias pruning plus every
-    // surviving candidate measured in process.
+    // surviving candidate simulated in process. Every TPU-v3 candidate
+    // runs non-default hardware.
     let shape = ConvShape::square(8, 64, 56, 64, 3, 1, 1).unwrap();
-    let src = InProcessSource::new();
     let mut g = c.benchmark_group("tune_search");
     for (name, target) in [
         ("tpu_v2", TuneTarget::Tpu { chip: TpuChip::V2 }),
+        ("tpu_v3", TuneTarget::Tpu { chip: TpuChip::V3 }),
         ("gpu", TuneTarget::Gpu),
     ] {
         g.bench_function(&format!("{name}/resnet50_3x3_56"), |b| {
-            b.iter(|| tune(&src, black_box(&shape), target))
+            b.iter(|| tune(black_box(&shape), target))
         });
     }
     g.finish();

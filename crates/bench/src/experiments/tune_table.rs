@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use iconv_api::proto::tpu_mode_wire;
 use iconv_api::{TpuChip, TuneTarget, TunedConfig};
 use iconv_tensor::ConvShape;
-use iconv_tune::{tune, InProcessSource, TuneEstimate, ALL_TARGETS};
+use iconv_tune::{tune, TuneEstimate, ALL_TARGETS};
 use iconv_workloads::Model;
 
 use crate::fmt::{banner, header};
@@ -94,9 +94,7 @@ pub fn sweep(models: &[Model], jobs: usize) -> Vec<(TuneTarget, Vec<Vec<TuneEsti
         .iter()
         .flat_map(|&target| shapes.iter().map(move |&shape| (target, shape)))
         .collect();
-    let src = InProcessSource::new();
-    let searched =
-        iconv_par::par_map_jobs(jobs, &pairs, |(target, shape)| tune(&src, shape, *target));
+    let searched = iconv_par::par_map_jobs(jobs, &pairs, |(target, shape)| tune(shape, *target));
     ALL_TARGETS
         .iter()
         .enumerate()

@@ -141,11 +141,10 @@ fn tune_trace(rec: &mut Recorder) {
     // Design-space search: for one representative strided layer, trace the
     // Table-II default and the tuned winner of each target side by side,
     // so the before/after spans land in the same file.
-    use iconv_tune::{default_config, tune, InProcessSource, ALL_TARGETS};
-    let src = InProcessSource::new();
+    use iconv_tune::{default_config, tune, ALL_TARGETS};
     let shape = iconv_workloads::alexnet(BATCH).layers[0].shape;
     for target in ALL_TARGETS {
-        let est = tune(&src, &shape, target);
+        let est = tune(&shape, target);
         for (tag, cfg) in [("default", default_config(target)), ("tuned", est.best)] {
             match cfg.to_work(shape) {
                 iconv_api::Work::TpuConv { shape, mode, hw } => {

@@ -3,7 +3,7 @@
 use crate::config::GpuConfig;
 use crate::kernel::{time_kernel, KernelTiming};
 use crate::traffic;
-use crate::traffic::Traffic;
+use crate::traffic::{ReuseFetches, Traffic};
 use iconv_core::ConvPass;
 use iconv_tensor::ConvShape;
 use iconv_trace::TraceSink;
@@ -116,6 +116,22 @@ impl GpuSim {
 
     /// Simulate one layer under `algo`.
     pub fn simulate_conv(&self, name: &str, shape: &ConvShape, algo: GpuAlgo) -> GpuLayerReport {
+        self.simulate_conv_shared(name, shape, algo, &mut ReuseFetches::new(*shape))
+    }
+
+    /// [`GpuSim::simulate_conv`], taking the reuse-ordered fetch count from
+    /// `fetches` when an earlier estimate of the same layer already counted
+    /// it for this output tile. A design-space search hands one
+    /// [`ReuseFetches`] to all its GPU candidates, so the channel-first
+    /// reuse and indirect estimates that block the layer alike count its
+    /// traffic once. The report is identical to a lone `simulate_conv`.
+    pub fn simulate_conv_shared(
+        &self,
+        name: &str,
+        shape: &ConvShape,
+        algo: GpuAlgo,
+        fetches: &mut ReuseFetches,
+    ) -> GpuLayerReport {
         let cfg = &self.config;
         let (m, n, _) = shape.gemm_mnk();
         let (timing, transform_cycles) = match algo {
@@ -150,7 +166,7 @@ impl GpuSim {
                 // vectors would be sub-sector fetches); its precomputed
                 // per-tap addressing keeps the staging conflict-free.
                 let t = if shape.ci >= 16 {
-                    traffic::channel_first(cfg, shape, reuse)
+                    traffic::channel_first(cfg, shape, reuse, fetches)
                 } else {
                     traffic::channel_last(cfg, shape)
                 };
@@ -186,7 +202,7 @@ impl GpuSim {
             }
             GpuAlgo::Indirect => {
                 let base = if shape.ci >= 16 {
-                    traffic::channel_first(cfg, shape, true)
+                    traffic::channel_first(cfg, shape, true, fetches)
                 } else {
                     traffic::channel_last(cfg, shape)
                 };

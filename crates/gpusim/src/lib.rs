@@ -33,4 +33,4 @@ pub mod traffic;
 pub use config::{GpuConfig, GpuConfigBuilder, GpuConfigError};
 pub use conv::{GpuAlgo, GpuLayerReport, GpuSim};
 pub use kernel::KernelTiming;
-pub use traffic::Traffic;
+pub use traffic::{ReuseFetches, Traffic};

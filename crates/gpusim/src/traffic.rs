@@ -17,7 +17,7 @@
 //! * **GEMM-equivalent** — dense `A` rows; the Fig. 4 reference bars.
 
 use crate::config::GpuConfig;
-use iconv_core::{BlockDecomposition, ConvPass, FetchOrder};
+use iconv_core::{BlockConfig, BlockDecomposition, ConvPass, FetchOrder};
 use iconv_tensor::ConvShape;
 
 /// Traffic (bytes) and the characteristic DRAM run length of a schedule.
@@ -92,20 +92,64 @@ pub fn channel_last(cfg: &GpuConfig, shape: &ConvShape) -> Traffic {
     }
 }
 
+/// The reuse-ordered A-side fetch counts of one layer, one per thread-block
+/// output tile.
+///
+/// [`BlockDecomposition::layer_fetch_elems`] reads only the tile's `bm`
+/// and `bn`, and it is most of what a channel-first estimate costs. So
+/// estimates of one layer under several configurations (a design-space
+/// search) count each distinct `(bm, bn)` once and share it. A fresh value
+/// per estimate shares nothing.
+#[derive(Debug)]
+pub struct ReuseFetches {
+    shape: ConvShape,
+    counts: Vec<((usize, usize), u64)>,
+}
+
+impl ReuseFetches {
+    /// No counts yet, for estimates of `shape`.
+    pub fn new(shape: ConvShape) -> Self {
+        Self {
+            shape,
+            counts: Vec::new(),
+        }
+    }
+
+    /// The layer's A-side elements under the reuse reordering with output
+    /// tiles of `block`, counted on the first request for its `(bm, bn)`.
+    fn elems(&mut self, shape: &ConvShape, block: BlockConfig) -> u64 {
+        debug_assert_eq!(*shape, self.shape, "fetch counts shared across layers");
+        let tile = (block.bm, block.bn);
+        if let Some(&(_, n)) = self.counts.iter().find(|(t, _)| *t == tile) {
+            return n;
+        }
+        let n = BlockDecomposition::new(self.shape, block, FetchOrder::Reordered)
+            .layer_fetch_elems()
+            .1;
+        self.counts.push((tile, n));
+        n
+    }
+}
+
 /// Traffic of the block-level channel-first schedule, with or without the
 /// inter-tile reuse reordering. Exact whole-layer accounting: with reuse via
 /// [`BlockDecomposition::layer_fetch_elems`], which counts each distinct
 /// block phase in closed form (O(1) per tap) and weights it by how often
-/// the phase recurs over the layer's row and column blocks; without it via
-/// [`BlockDecomposition::layer_cold_elems`], one product per tap.
-pub fn channel_first(cfg: &GpuConfig, shape: &ConvShape, reuse: bool) -> Traffic {
+/// the phase recurs over the layer's row and column blocks, taken from
+/// `fetches` when another estimate of the layer already counted this
+/// tile; without it via [`BlockDecomposition::layer_cold_elems`], one
+/// product per tap.
+pub fn channel_first(
+    cfg: &GpuConfig,
+    shape: &ConvShape,
+    reuse: bool,
+    fetches: &mut ReuseFetches,
+) -> Traffic {
     // The paper's naive order "has no data reuse" (Fig. 12): each tap's
     // sub-tile is fetched in full. The reordering keeps the previous tap
     // resident and fetches only the fresh pixels.
     let a_elems = if reuse {
-        BlockDecomposition::new(*shape, cfg.block, FetchOrder::Reordered)
-            .layer_fetch_elems()
-            .1
+        fetches.elems(shape, cfg.block)
     } else {
         BlockDecomposition::new(*shape, cfg.block, FetchOrder::Naive).layer_cold_elems()
     };
@@ -211,8 +255,8 @@ mod tests {
 
     #[test]
     fn channel_first_a_traffic_shrinks_with_stride() {
-        let t1 = channel_first(&cfg(), &shape(1), true);
-        let t2 = channel_first(&cfg(), &shape(2), true);
+        let t1 = channel_first(&cfg(), &shape(1), true, &mut ReuseFetches::new(shape(1)));
+        let t2 = channel_first(&cfg(), &shape(2), true, &mut ReuseFetches::new(shape(2)));
         assert!(
             (t2.a_bytes as f64) < 0.6 * t1.a_bytes as f64,
             "s1 {} vs s2 {}",
@@ -224,8 +268,8 @@ mod tests {
     #[test]
     fn reuse_cuts_channel_first_traffic() {
         let s = shape(2);
-        let naive = channel_first(&cfg(), &s, false);
-        let reordered = channel_first(&cfg(), &s, true);
+        let naive = channel_first(&cfg(), &s, false, &mut ReuseFetches::new(s));
+        let reordered = channel_first(&cfg(), &s, true, &mut ReuseFetches::new(s));
         assert!(
             reordered.a_bytes < naive.a_bytes,
             "reordered {} vs naive {}",
@@ -244,7 +288,7 @@ mod tests {
         // coverage; it must stay the same order of magnitude.
         let s = shape(1);
         let cl = channel_last(&cfg(), &s);
-        let cf = channel_first(&cfg(), &s, true);
+        let cf = channel_first(&cfg(), &s, true, &mut ReuseFetches::new(s));
         let ratio = cf.a_bytes as f64 / cl.a_bytes as f64;
         assert!((0.4..4.5).contains(&ratio), "ratio {ratio}");
     }
@@ -300,7 +344,7 @@ mod tests {
         // across image boundaries.
         let s = ConvShape::square(3, 4, 10, 8, 3, 1, 1).unwrap();
         for (reuse, order) in [(false, FetchOrder::Naive), (true, FetchOrder::Reordered)] {
-            let t = channel_first(&cfg(), &s, reuse);
+            let t = channel_first(&cfg(), &s, reuse, &mut ReuseFetches::new(s));
             let decomp = BlockDecomposition::new(s, cfg().block, order);
             let (cold, warm) = iconv_core::block::reference::layer_fetch_elems(&decomp);
             let want = if reuse { warm } else { cold };

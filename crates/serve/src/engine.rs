@@ -8,7 +8,7 @@
 
 use iconv_gpusim::GpuSim;
 use iconv_tpusim::{LayerReport, Simulator};
-use iconv_tune::{tune, InProcessSource};
+use iconv_tune::tune;
 
 use crate::protocol::{gpu_body, tpu_body, tune_body, GpuEstimate, TpuEstimate, Work};
 
@@ -89,8 +89,7 @@ pub fn evaluate(work: &Work) -> String {
             // The search measures candidates sequentially inside this one
             // job — worker-count independence is what keeps the cached
             // body byte-identical on any server configuration.
-            let est = tune(&InProcessSource::new(), shape, *target);
-            tune_body(&est)
+            tune_body(&tune(shape, *target))
         }
     }
 }

@@ -12,8 +12,8 @@
 
 use crate::config::TpuConfig;
 use crate::report::{LayerReport, ModelReport, Phases};
-use iconv_core::schedule::{tpu_group_size, TileSchedule};
-use iconv_core::ConvPass;
+use iconv_core::schedule::tpu_group_size;
+use iconv_core::{ConvPass, FilterTile};
 use iconv_dram::DramModel;
 use iconv_sram::PortStats;
 use iconv_tensor::{ConvShape, Layout};
@@ -237,7 +237,6 @@ impl Simulator {
         let eb = cfg.vector_mem.elem_bytes as u64;
         // Duplication cannot usefully exceed what fills the array.
         let group = group.clamp(1, rows.div_ceil(shape.ci));
-        let sched = TileSchedule::multi_tile(shape, group);
         let m_total = shape.lowered_rows();
 
         // --- Compute phase. With duplication factor `group`, up to
@@ -281,20 +280,29 @@ impl Simulator {
 
         // --- Workspace and chunking: the widest group's resident IFMap
         // words (duplicated per member), double-buffered within the budget.
+        // A `TileSchedule::multi_tile` group is a chunk of up to `group`
+        // consecutive taps of one filter row, cut at `Wf`, and a tap's
+        // working set is its valid output rows × valid output columns. So
+        // the widest group is the row with the most valid outputs times
+        // the chunk whose taps sum to the most valid columns
+        // (`tests/proptests.rs` pins this to the schedule's own sum).
         let batch_words = shape.n.div_ceil(cfg.vector_mem.word_elems) as u64;
         let word_bytes = cfg.vector_mem.word_bytes();
-        let workspace_bytes = sched
-            .groups()
-            .iter()
-            .map(|g| {
-                g.tiles()
-                    .iter()
-                    .map(|t| t.working_set_len(shape) as u64 * batch_words * word_bytes)
-                    .sum::<u64>()
-                    * shape.ci as u64
+        let widest_row = (0..shape.hf)
+            .map(|fh| FilterTile::new(fh, 0).valid_out_h(shape))
+            .max()
+            .unwrap_or(0);
+        let widest_chunk = (0..shape.wf)
+            .step_by(group)
+            .map(|fw0| {
+                (fw0..(fw0 + group).min(shape.wf))
+                    .map(|fw| FilterTile::new(0, fw).valid_out_w(shape))
+                    .sum::<usize>()
             })
             .max()
             .unwrap_or(0);
+        let workspace_bytes =
+            (widest_row * widest_chunk) as u64 * batch_words * word_bytes * shape.ci as u64;
         let budget = (cfg.total_sram_bytes() as f64 * cfg.ifmap_buffer_fraction / 2.0) as u64;
         let chunks = workspace_bytes
             .div_ceil(budget.max(1))

@@ -1,6 +1,7 @@
 //! Property-based sanity of the TPU simulator: monotonicity, conservation
 //! and cross-model invariants over randomized layers.
 
+use iconv_core::TileSchedule;
 use iconv_models::Roofline;
 use iconv_tensor::ConvShape;
 use iconv_tpusim::{SimMode, Simulator, TpuConfig};
@@ -24,8 +25,91 @@ fn conv_shapes() -> impl Strategy<Value = ConvShape> {
         })
 }
 
+/// Layers with independent strides, dilation and padding per axis, and
+/// filters up to 7 wide, for the workspace closed form.
+fn strided_dilated_shapes() -> impl Strategy<Value = ConvShape> {
+    (
+        (1usize..=16, 1usize..=256, 4usize..=30, 4usize..=30), // n, ci, hi, wi
+        (1usize..=7, 1usize..=7),                              // hf, wf
+        (1usize..=3, 1usize..=3, 1usize..=2, 1usize..=2),      // sh, sw, dh, dw
+        (0usize..=3, 0usize..=3),                              // ph, pw
+    )
+        .prop_filter_map(
+            "valid",
+            |((n, ci, hi, wi), (hf, wf), (sh, sw, dh, dw), (ph, pw))| {
+                ConvShape::new(n, ci, hi, wi, 16, hf, wf)
+                    .stride_hw(sh, sw)
+                    .dilation_hw(dh, dw)
+                    .pad_hw(ph, pw)
+                    .build()
+                    .ok()
+            },
+        )
+}
+
+/// The channel-first workspace as the engine computed it before the
+/// closed form: over the groups of the `TileSchedule::multi_tile` the
+/// engine runs, the largest Σ `working_set_len` × batch words × word
+/// bytes × `Ci`.
+fn schedule_workspace(cfg: &TpuConfig, shape: &ConvShape, group: usize) -> u64 {
+    let group = group.clamp(1, cfg.array.rows.div_ceil(shape.ci));
+    let batch_words = shape.n.div_ceil(cfg.vector_mem.word_elems) as u64;
+    let word_bytes = cfg.vector_mem.word_bytes();
+    TileSchedule::multi_tile(shape, group)
+        .groups()
+        .iter()
+        .map(|g| {
+            g.tiles()
+                .iter()
+                .map(|t| t.working_set_len(shape) as u64 * batch_words * word_bytes)
+                .sum::<u64>()
+                * shape.ci as u64
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// `workspace_bytes` of `ChannelFirstGrouped(g)` for every `g` in
+/// `1..=Wf+1` equals [`schedule_workspace`].
+fn assert_workspace_matches_schedule(cfg: &TpuConfig, shape: &ConvShape) {
+    let sim = Simulator::new(*cfg);
+    for g in 1..=shape.wf + 1 {
+        let rep = sim.simulate_conv("l", shape, SimMode::ChannelFirstGrouped(g));
+        assert_eq!(
+            rep.workspace_bytes,
+            schedule_workspace(cfg, shape, g),
+            "{shape} array {} g{g}",
+            cfg.array.rows
+        );
+    }
+}
+
+/// Every distinct paper shape at batch 1 and 8, on 64-, 128- and 256-row
+/// arrays.
+#[test]
+fn workspace_closed_form_matches_the_schedule_on_paper_shapes() {
+    for batch in [1, 8] {
+        for shape in iconv_workloads::distinct_shapes(batch) {
+            for array in [64, 128, 256] {
+                let cfg = TpuConfig::tpu_v2().with_array_size(array);
+                assert_workspace_matches_schedule(&cfg, &shape);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The closed-form channel-first workspace equals the largest
+    /// `TileSchedule` group's on strided, dilated and padded layers.
+    #[test]
+    fn workspace_closed_form_matches_the_schedule(
+        shape in strided_dilated_shapes(),
+        array in prop::sample::select(vec![64usize, 128, 256]),
+    ) {
+        assert_workspace_matches_schedule(&TpuConfig::tpu_v2().with_array_size(array), &shape);
+    }
 
     /// Simulated latency never beats the machine roofline.
     #[test]

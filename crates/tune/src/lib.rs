@@ -5,11 +5,13 @@
 //! [`search::tune`] enumerates a fixed candidate grid (TPU: lowering mode
 //! x array size x ifmap layout x pipeline schedule; GPU: kernel algorithm
 //! x block tile x residency x schedule), prunes infeasible and aliasing
-//! points (equal [`iconv_api::Canonical`] forms), measures the rest through
-//! a [`CycleSource`], and
+//! points (equal [`iconv_api::Canonical`] forms), simulates the rest, and
 //! returns the strict-minimum winner with the Table-II default as the
 //! reported baseline — candidate 0 *is* the default, so tuned cycles never
-//! exceed default cycles.
+//! exceed default cycles. Each target's grid is validated and resolved
+//! once per process, one engine per distinct configuration, and a search
+//! calls those engines directly: its cycles are bit-identical to
+//! [`InProcessSource`] estimating each candidate on its own.
 //!
 //! Everything is deterministic: same `(shape, target)` in, byte-identical
 //! [`iconv_api::proto::TuneEstimate`] out. A search measures on the calling
@@ -26,9 +28,10 @@
 //! `BENCH_tune.json`.
 //!
 //! [`CycleSource`] (and [`InProcessSource`]) moved here from
-//! `iconv-bench`'s summary module so the tuner, the bench runners, and the
-//! serve engine measure through one trait; `iconv-bench` re-exports them
-//! under the historical paths.
+//! `iconv-bench`'s summary module so the bench runners and the serve
+//! engine measure through one trait, which answers `Work::Tune` by calling
+//! [`search::tune`]; `iconv-bench` re-exports them under the historical
+//! paths.
 
 #![warn(missing_docs)]
 

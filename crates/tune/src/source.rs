@@ -1,8 +1,10 @@
 //! Where cycle estimates come from.
 //!
-//! The tuner, the bench runners, and the serve engine all measure through
-//! one trait, [`CycleSource`]; [`InProcessSource`] is the in-process
-//! implementation every other source must agree with.
+//! The bench runners and the figure reductions measure through one trait,
+//! [`CycleSource`]; [`InProcessSource`] is the in-process implementation
+//! every other source must agree with. The tune search calls the same
+//! simulators directly (see [`crate::search`]), and the tune proptests pin
+//! it bit for bit to this source's per-candidate estimates.
 
 use iconv_api::{resolve_gpu, resolve_tpu, GpuHwSpec, TpuHwSpec, Work};
 use iconv_gpusim::{GpuAlgo, GpuConfig, GpuSim};
@@ -256,12 +258,7 @@ impl CycleSource for InProcessSource {
                 };
                 CycleCount::Gpu(cycles)
             }
-            Work::Tune { shape, target } => {
-                // A tune is itself work: run the search against this same
-                // source (candidates are concrete works, so no recursion).
-                let est = tune(self, shape, *target);
-                CycleCount::Tuned(est.tuned_cycles)
-            }
+            Work::Tune { shape, target } => CycleCount::Tuned(tune(shape, *target).tuned_cycles),
         }
     }
 }

@@ -166,15 +166,13 @@ impl TuneCache {
 mod tests {
     use super::*;
     use crate::search::{tune, tune_key, ALL_TARGETS};
-    use crate::source::InProcessSource;
     use iconv_tensor::ConvShape;
 
     fn sample() -> TuneCache {
-        let src = InProcessSource::new();
         let shape = ConvShape::square(4, 32, 28, 64, 3, 1, 1).unwrap();
         let mut cache = TuneCache::new();
         for target in ALL_TARGETS {
-            let est = tune(&src, &shape, target);
+            let est = tune(&shape, target);
             cache.insert(tune_key(&shape, target), est);
         }
         cache

@@ -3,10 +3,13 @@
 //! * **Persistence** — `to_json`/`from_json` is the identity, and corrupt
 //!   input (truncations, byte flips) is rejected with an error, never a
 //!   panic.
-//! * **Alias pruning** — `tune` dedups candidates on their typed canonical
-//!   form; recomputing the pruning with a set of rendered canonical keys
-//!   gives the same `candidates`, `pruned` and `best`, on random shapes and
-//!   on every distinct paper shape.
+//! * **Alias pruning and measurement** — `tune` dedups candidates on their
+//!   resolved engine and normalized mode and simulates the survivors on
+//!   engines built once per target, sharing GPU fetch counts. Recomputing
+//!   the search with a set of rendered canonical keys and one fresh
+//!   `InProcessSource::estimate` per survivor gives the same `candidates`,
+//!   `pruned` and `best`, and bit-identical tuned and default cycles, on
+//!   random shapes and on every distinct paper shape.
 //!
 //! Runs under the offline `proptest` shim: deterministic seed, no
 //! shrinking — a failing case prints its inputs via the assertion message.
@@ -46,10 +49,15 @@ fn target_strategy() -> impl proptest::strategy::Strategy<Value = TuneTarget> {
     ])
 }
 
-/// `(candidates, pruned, best)` of a search whose alias pruning keeps a
-/// `BTreeSet` of rendered canonical keys — the string dedup `tune` used
-/// before it compared typed canonical values.
-fn string_dedup_search(shape: &ConvShape, target: TuneTarget) -> (u64, u64, TunedConfig) {
+/// What a search reports: `(candidates, pruned, best)` and the bits of
+/// the tuned and default cycles.
+type Outcome = (u64, u64, TunedConfig, u64, u64);
+
+/// The outcome of a search whose alias pruning keeps a `BTreeSet` of
+/// rendered canonical keys — the string dedup `tune` used before it
+/// compared typed values — and which measures each survivor with its own
+/// fresh simulation through `InProcessSource::estimate`.
+fn string_dedup_search(shape: &ConvShape, target: TuneTarget) -> Outcome {
     let src = InProcessSource::new();
     let mut seen = BTreeSet::new();
     let mut kept = Vec::new();
@@ -71,13 +79,25 @@ fn string_dedup_search(shape: &ConvShape, target: TuneTarget) -> (u64, u64, Tune
             best = i;
         }
     }
-    (kept.len() as u64, pruned, kept[best])
+    (
+        kept.len() as u64,
+        pruned,
+        kept[best],
+        cycles[best].to_bits(),
+        cycles[0].to_bits(),
+    )
 }
 
 fn assert_matches_string_dedup(shape: &ConvShape, target: TuneTarget) {
-    let got = tune(&InProcessSource::new(), shape, target);
+    let got = tune(shape, target);
     assert_eq!(
-        (got.candidates, got.pruned, got.best),
+        (
+            got.candidates,
+            got.pruned,
+            got.best,
+            got.tuned_cycles.to_bits(),
+            got.default_cycles.to_bits(),
+        ),
         string_dedup_search(shape, target),
         "{shape} {target:?}"
     );
@@ -96,8 +116,8 @@ fn paper_shapes_prune_like_the_string_dedup() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Typed dedup and string dedup prune the same candidates and pick
-    /// the same winner.
+    /// Typed dedup and string dedup prune the same candidates, pick the
+    /// same winner and report bit-identical cycles.
     #[test]
     fn tune_prunes_like_the_string_dedup(
         shape in shape_strategy(),
@@ -114,10 +134,9 @@ proptest! {
         b in shape_strategy(),
         target in target_strategy(),
     ) {
-        let src = InProcessSource::new();
         let mut cache = TuneCache::new();
         for shape in [&a, &b] {
-            let est = tune(&src, shape, target);
+            let est = tune(shape, target);
             cache.insert(tune_key(shape, target), est);
         }
         let text = cache.to_json();
@@ -138,9 +157,8 @@ proptest! {
         flip_frac in 0.0f64..1.0,
         flip_byte in 0u8..=255,
     ) {
-        let src = InProcessSource::new();
         let mut cache = TuneCache::new();
-        cache.insert(tune_key(&shape, target), tune(&src, &shape, target));
+        cache.insert(tune_key(&shape, target), tune(&shape, target));
         let text = cache.to_json();
 
         // Truncation strictly inside the document can never be valid.
