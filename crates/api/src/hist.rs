@@ -1,12 +1,12 @@
 //! A hand-rolled HDR-style log-linear latency histogram.
 //!
-//! The capacity harness needs latency percentiles that are (a) exact in
-//! count — every recorded sample lands in exactly one bucket, no sampling,
-//! no decay — (b) mergeable across connections and backends by plain
-//! bucket-wise addition, and (c) bounded in relative quantile error by the
-//! bucket layout alone. The layout is **fixed** (no configuration knobs),
-//! so two histograms built anywhere in the fleet always share bucket
-//! boundaries and merge losslessly:
+//! The server's `stats` ledger needs latency percentiles that are (a)
+//! exact in count — every recorded sample lands in exactly one bucket, no
+//! sampling, no decay — (b) mergeable across cache-shard stripes and
+//! backends by plain bucket-wise addition, and (c) bounded in relative
+//! quantile error by the bucket layout alone. The layout is **fixed** (no
+//! configuration knobs), so two histograms built anywhere in the fleet
+//! always share bucket boundaries and merge losslessly:
 //!
 //! * Values `0..64` get their own unit-width bucket (exact).
 //! * Above that, each power-of-two octave `[2^m, 2^(m+1))` is split into
@@ -20,7 +20,9 @@
 //! The JSON encoding is sparse (`[index, count]` pairs for non-empty
 //! buckets only) and canonical: [`LatencyHist::to_json`] followed by
 //! [`LatencyHist::from_json`] is the identity, which the proptest battery
-//! pins.
+//! pins. Because histograms cross the `stats` wire as bucket indices, the
+//! layout is part of the wire format; exact quantile pins in the same
+//! battery fix it.
 
 use crate::json::{self, Json};
 
@@ -151,16 +153,6 @@ impl LatencyHist {
     #[must_use]
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    /// Mean of recorded values (`0.0` when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Fold another histogram into this one. Because the layout is fixed,
@@ -390,7 +382,6 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.value_at_quantile(0.99), 0);
-        assert_eq!(h.mean(), 0.0);
         assert_eq!(LatencyHist::from_json(&h.to_json()).unwrap(), h);
     }
 

@@ -26,11 +26,11 @@
 //!   canonical key is hashed.
 //! - [`hist::LatencyHist`]: the fixed-layout HDR-style latency histogram —
 //!   exact counts, mergeable across connections and backends, bounded
-//!   quantile error — shared by the server's `stats` op and the open-loop
-//!   capacity harness.
+//!   quantile error — behind the server's `stats` ledger, fleet-merged by
+//!   the router.
 //! - [`zipf::ZipfSampler`]: the deterministic seeded Zipfian key sampler
-//!   the capacity harness skews its canonical-key population with (the
-//!   splitmix primitives are re-exported from `iconv-faults`).
+//!   the benchmark's schedules skew their canonical-key populations with
+//!   (the splitmix primitives are re-exported from `iconv-faults`).
 //!
 //! - [`proto`]: the NDJSON wire codecs themselves — one typed [`proto::Op`]
 //!   registry plus request/response structs, shared verbatim by the server,
@@ -58,7 +58,7 @@ pub use hist::LatencyHist;
 pub use key::{canonical, canonical_key, tpu_mode, Canonical, TpuMode};
 pub use ring::{shard_of, stable_hash64, HashRing};
 pub use spec::{resolve_tpu, TpuChip, TpuHwSpec};
-pub use sweep::{SweepError, SweepSpec, SweepTarget, MAX_SWEEP_ITEMS};
+pub use sweep::{SweepError, SweepSpec, SweepTarget, MAX_LINE_BYTES, MAX_SWEEP_ITEMS};
 pub use tuned::{TuneTarget, TunedConfig};
 pub use work::Work;
 pub use zipf::ZipfSampler;

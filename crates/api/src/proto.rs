@@ -43,7 +43,7 @@ use crate::json::{self, write_str, Json};
 // codec surface is self-contained for downstream `use proto::*` callers.
 pub use crate::{
     GpuHwSpec, LatencyHist, SweepError, SweepSpec, SweepTarget, TpuChip, TpuHwSpec, TuneTarget,
-    TunedConfig, Work, MAX_SWEEP_ITEMS,
+    TunedConfig, Work, MAX_LINE_BYTES, MAX_SWEEP_ITEMS,
 };
 
 /// The operation registry: every verb the wire accepts, in one place.

@@ -21,6 +21,15 @@ use crate::work::Work;
 /// keeps a single request line from admitting unbounded work.
 pub const MAX_SWEEP_ITEMS: usize = 16_384;
 
+/// Upper bound on one request line's length in bytes, newline excluded.
+/// `served` and `routed` answer a longer line with a typed `parse` error
+/// and close the connection, so a client that never sends a newline
+/// cannot grow a server buffer without bound. 16 MiB is 3.7× a batch of
+/// [`MAX_SWEEP_ITEMS`] copies of a longest legitimate item (AlexNet conv1
+/// on a TPU-v3 with every hardware override spelled out, 274 bytes):
+/// ~4.5 MB.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
 /// What the swept layers run on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SweepTarget {

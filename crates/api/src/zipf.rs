@@ -1,13 +1,14 @@
 //! Deterministic seeded Zipfian rank sampler.
 //!
-//! The capacity harness replays the workload table under realistic key
-//! skew: a few hot layers absorb most of the traffic, the tail is cold.
-//! This sampler draws ranks from a Zipf(s) distribution over a fixed
-//! population using the same *stateless* discipline as the `iconv-faults`
-//! decision streams: the `n`-th draw is a pure function of `(seed, n)`
-//! via the splitmix64 finalizer, so a schedule built from indexed draws is
-//! byte-identical for the same seed **independent of thread interleaving**
-//! — exactly the property the determinism tests pin.
+//! The benchmark's schedules (`benchmark/src/schedule.rs`) replay key
+//! populations under realistic skew: a few hot layers absorb most of the
+//! traffic, the tail is cold. This sampler draws ranks from a Zipf(s)
+//! distribution over a fixed population using the same *stateless*
+//! discipline as the `iconv-faults` decision streams: the `n`-th draw is a
+//! pure function of `(seed, n)` via the splitmix64 finalizer, so a
+//! schedule built from indexed draws is byte-identical for the same seed
+//! **independent of thread interleaving** — exactly the property the
+//! determinism tests pin.
 //!
 //! The PRNG primitives themselves ([`mix64`], [`unit_f64`],
 //! [`GOLDEN_GAMMA`], [`XorShift64`]) are re-exported from `iconv-faults`

@@ -6,7 +6,12 @@
 //!   bucket the true value lives in;
 //! * `merge(a, b)` is exactly equivalent to recording both streams into
 //!   one histogram (full structural equality, not just matching counts);
-//! * the compact JSON encoding round-trips to an identical histogram.
+//! * the compact JSON encoding round-trips to an identical histogram;
+//! * exact quantiles of a scripted coordinated-omission scenario, which
+//!   pin the bucket layout above the exact range (histograms cross the
+//!   `stats` wire as bucket indices, so the layout is part of the wire
+//!   format; the oracle checks above are relative to whatever layout is in
+//!   place and cannot see it change).
 //!
 //! Runs under the offline `proptest` shim: deterministic seed, no
 //! shrinking — a failing case prints its inputs via the assertion message.
@@ -95,4 +100,53 @@ proptest! {
         // And re-encoding is byte-stable.
         prop_assert_eq!(back.to_json(), encoded);
     }
+}
+
+/// Service time of every unremarkable request: 100 µs.
+const FAST_NS: u64 = 100_000;
+/// The scripted stall: arrival 700 takes 500 ms, i.e. 500 arrivals.
+const STALL_AT: u64 = 700;
+const STALL_NS: u64 = 500_000_000;
+const ARRIVALS: u64 = 2_000;
+
+/// One serial server fed 2,000 arrivals 1 ms apart, each served in
+/// `service_ns(i)`. Returns `(intended, naive)` latency histograms in µs:
+/// `intended` stamps completion against the scheduled arrival, `naive`
+/// against the moment service started, the coordinated-omission mistake
+/// of a client that only starts its clock once it can send.
+fn serial_server(service_ns: impl Fn(u64) -> u64) -> (LatencyHist, LatencyHist) {
+    let (mut intended, mut naive) = (LatencyHist::new(), LatencyHist::new());
+    let mut free_at = 0u64;
+    for i in 0..ARRIVALS {
+        let arrival = i * 1_000_000;
+        let start = free_at.max(arrival);
+        let done = start + service_ns(i);
+        intended.record((done - arrival) / 1000);
+        naive.record((done - start) / 1000);
+        free_at = done;
+    }
+    (intended, naive)
+}
+
+#[test]
+fn intended_time_p99_sees_the_stall_and_naive_does_not() {
+    let (intended, naive) = serial_server(|i| if i == STALL_AT { STALL_NS } else { FAST_NS });
+    assert_eq!(intended.count(), ARRIVALS);
+    assert_eq!(naive.count(), ARRIVALS);
+    // The requests queued behind the stall are charged their wait...
+    assert_eq!(intended.value_at_quantile(0.99), 483_327);
+    // ...which the naive stamp hides. 101, not 100: the estimate is the
+    // upper bound of the [100, 101] bucket, and the stalled request keeps
+    // `max` from clamping it.
+    assert_eq!(naive.value_at_quantile(0.99), 101);
+    assert_eq!(naive.max(), STALL_NS / 1000);
+    assert_eq!(intended.min(), FAST_NS / 1000);
+}
+
+/// With no stall nothing queues, so the two stamps agree exactly.
+#[test]
+fn without_a_stall_the_policies_agree() {
+    let (intended, naive) = serial_server(|_| FAST_NS);
+    assert_eq!(intended, naive);
+    assert_eq!(intended.value_at_quantile(0.99), 100);
 }

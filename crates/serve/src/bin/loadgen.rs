@@ -1,50 +1,34 @@
-//! `loadgen` — closed- and open-loop load generator for `served`.
+//! `loadgen` — closed-loop load generator for `served`.
 //!
-//! **Closed loop** (default): replays the paper's workload table (every
-//! layer of the seven CNNs, each under four estimators: TPU
-//! channel-first, TPU explicit, GPU cuDNN-implicit, GPU
-//! channel-first+reuse) against a server, at a configurable connection
-//! count and pipelining window, for several passes. Pass 1 is the cold
-//! pass (all cache misses); later passes measure the warm cache. `--batch
-//! N` switches the framing from one request line per estimate to `batch`
-//! requests of N items each. Prints a per-pass
-//! throughput/latency/hit-rate table, then always runs a **compare
-//! phase** — cold single-request lockstep vs. one cold whole-table batch,
-//! each on a fresh in-process server — and writes the machine-readable
-//! report to `BENCH_serve.json`.
+//! Replays the paper's workload table (every layer of the seven CNNs,
+//! each under four estimators: TPU channel-first, TPU explicit, GPU
+//! cuDNN-implicit, GPU channel-first+reuse) against a server, at a
+//! configurable connection count and pipelining window, for several
+//! passes. Pass 1 is the cold pass (all cache misses); later passes
+//! measure the warm cache. `--batch N` switches the framing from one
+//! request line per estimate to `batch` requests of N items each. Prints
+//! a per-pass throughput/latency/hit-rate table, then always runs a
+//! **compare phase** — cold single-request lockstep vs. one cold
+//! whole-table batch, each on a fresh in-process server — and writes the
+//! machine-readable report to `BENCH_serve.json`.
 //!
-//! **Open loop** (`--open-loop`): sends on a virtual-clock arrival
-//! schedule at `--rate` requests/second — never waiting for responses —
-//! with latency stamped from each request's *intended* send instant, so
-//! the numbers are immune to coordinated omission. Keys are
-//! Zipfian-skewed over the canonical workload table and the framing mixes
-//! single, batch, sweep, and `tune` requests, all deterministically from
-//! `--seed`. With `--knee` it then bisects offered rates for the maximum
-//! sustained throughput under the `--slo` p99, and `--soak` switches the
-//! defaults to the sustained profile (a million scheduled entries at a
-//! rate inside every topology's knee). Without `--addr` it measures two
-//! in-process topologies — one `served`, and a 3-backend fleet behind
-//! `routed` — and writes both to `BENCH_capacity.json`.
-//!
-//! By default it spawns in-process servers so `cargo run --bin loadgen`
+//! By default it spawns an in-process server so `cargo run --bin loadgen`
 //! is self-contained; `--addr` points it at an external target instead.
+//! Open-loop latency under a fixed offered rate is the `iconv-benchmark`
+//! package's job (`benchmark/`), not this binary's.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use iconv_api::table::pass_leg_works;
 use iconv_serve::cache::{Body, LruCache, StripedCache};
-use iconv_serve::capacity::{
-    build_schedule, find_knee, run_open_loop, Knee, OpenLoopRun, OpenLoopSpec,
-};
-use iconv_serve::cli::{parse_loadgen_args, ClosedArgs, LoadgenArgs, Mode, OpenArgs};
+use iconv_serve::cli::{parse_loadgen_args, LoadgenArgs};
 use iconv_serve::client::{Client, DEFAULT_CONNECT_TIMEOUT};
 use iconv_serve::protocol::{
     encode_estimate, encode_sweep, EstimateRequest, Response, StatsSnapshot, SweepSpec,
     SweepTarget, Work,
 };
-use iconv_serve::router::{spawn_router, RouterConfig};
-use iconv_serve::server::{spawn, ServerConfig, ServerHandle};
+use iconv_serve::server::{spawn, ServerConfig};
 
 /// One closed-loop connection, single-request framing: keep up to `window`
 /// requests outstanding, read one, top the window back up. Returns
@@ -121,14 +105,8 @@ struct PassReport {
     mean_latency_us: f64,
 }
 
-fn run_pass(
-    addr: &str,
-    works: &[Work],
-    concurrency: usize,
-    closed: &ClosedArgs,
-    control: &mut Client,
-) -> PassReport {
-    let lines: Vec<String> = if closed.batch == 0 {
+fn run_pass(addr: &str, works: &[Work], args: &LoadgenArgs, control: &mut Client) -> PassReport {
+    let lines: Vec<String> = if args.batch == 0 {
         works
             .iter()
             .map(|&work| {
@@ -145,11 +123,11 @@ fn run_pass(
     let before = control.stats().expect("stats RPC");
     let t0 = Instant::now();
     let results: Vec<(u64, u64)> = std::thread::scope(|scope| {
-        let work_chunks = chunk_evenly(works, concurrency);
+        let work_chunks = chunk_evenly(works, args.concurrency);
         // Batched framing encodes per chunk, so there are no request lines
         // to split; hand every connection an empty (unused) line slice.
-        let line_chunks = if closed.batch == 0 {
-            chunk_evenly(&lines, concurrency)
+        let line_chunks = if args.batch == 0 {
+            chunk_evenly(&lines, args.concurrency)
         } else {
             vec![&lines[..]; work_chunks.len()]
         };
@@ -158,10 +136,10 @@ fn run_pass(
             .zip(line_chunks)
             .map(|(work_chunk, line_chunk)| {
                 scope.spawn(move || {
-                    if closed.batch == 0 {
-                        run_chunk(addr, line_chunk, closed.window)
+                    if args.batch == 0 {
+                        run_chunk(addr, line_chunk, args.window)
                     } else {
-                        run_chunk_batched(addr, work_chunk, closed.batch)
+                        run_chunk_batched(addr, work_chunk, args.batch)
                     }
                 })
             })
@@ -397,32 +375,19 @@ fn run_cache_compare(threads: usize) -> CacheCompare {
     }
 }
 
-/// Run-level facts the closed-loop report needs besides the pass table.
-struct ClosedSummary<'a> {
-    concurrency: usize,
-    n_requests: usize,
-    final_stats: &'a StatsSnapshot,
-}
-
 fn write_report(
-    path: &str,
-    closed: &ClosedArgs,
-    summary: &ClosedSummary<'_>,
+    args: &LoadgenArgs,
+    n_requests: usize,
+    final_stats: &StatsSnapshot,
     passes: &[PassReport],
     compare: &Compare,
     cache_compare: &CacheCompare,
 ) -> std::io::Result<()> {
-    let final_stats = summary.final_stats;
     let mut out = String::from("{\n  \"bench\": \"serve\",\n");
     out.push_str(&format!(
         "  \"config\": {{\"concurrency\": {}, \"window\": {}, \"passes\": {}, \
          \"requests_per_pass\": {}, \"workers\": {}, \"batch\": {}}},\n",
-        summary.concurrency,
-        closed.window,
-        closed.passes,
-        summary.n_requests,
-        final_stats.workers,
-        closed.batch
+        args.concurrency, args.window, args.passes, n_requests, final_stats.workers, args.batch
     ));
     out.push_str("  \"passes\": [\n");
     for (i, p) in passes.iter().enumerate() {
@@ -491,296 +456,17 @@ fn write_report(
         final_stats.batch_misses,
         final_stats.batch_errors
     ));
-    std::fs::write(path, out)
+    std::fs::write(&args.out, out)
 }
 
-// ---------------------------------------------------------------------------
-// Open-loop capacity mode
-// ---------------------------------------------------------------------------
-
-/// Everything measured for one topology in open-loop mode.
-struct TopoReport {
-    name: &'static str,
-    backends: usize,
-    soak_rate: u64,
-    soak: OpenLoopRun,
-    hits: u64,
-    misses: u64,
-    requests: u64,
-    hit_rate: f64,
-    server_service_p99_us: u64,
-    knee: Option<Knee>,
-}
-
-/// Soak (and optionally knee-search) the server at `addr`.
-fn run_open_topology(
-    name: &'static str,
-    backends: usize,
-    addr: &str,
-    args: &LoadgenArgs,
-    open: &OpenArgs,
-    works: &[Work],
-) -> TopoReport {
-    let mut control = match Client::connect_retry(addr, args.connect_timeout) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("loadgen: cannot reach {addr}: {e}");
-            std::process::exit(1);
+fn main() {
+    let args = match parse_loadgen_args(std::env::args().skip(1)) {
+        Ok(a) => a,
+        Err(err) => {
+            eprintln!("loadgen: {err}");
+            std::process::exit(2);
         }
     };
-    let before = control.stats().expect("stats RPC");
-    let spec = OpenLoopSpec {
-        rate_rps: open.rate_rps,
-        requests: open.requests,
-        connections: args.concurrency,
-        seed: open.seed,
-        zipf_s: open.zipf_s,
-        batch_size: open.batch_size,
-    };
-    eprintln!(
-        "loadgen[{name}]: open-loop soak, {} entries at {} req/s over {} connection(s)",
-        spec.requests, spec.rate_rps, spec.connections
-    );
-    let schedule = build_schedule(&spec, works);
-    let soak = match run_open_loop(addr, spec.connections, &schedule) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("loadgen[{name}]: open-loop run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    eprintln!(
-        "loadgen[{name}]: soak p50 {}us p99 {}us p999 {}us (naive p99 {}us), \
-         achieved {:.1} req/s, {} error(s)",
-        soak.hist.value_at_quantile(0.50),
-        soak.hist.value_at_quantile(0.99),
-        soak.hist.value_at_quantile(0.999),
-        soak.naive_hist.value_at_quantile(0.99),
-        soak.achieved_rps,
-        soak.errors,
-    );
-
-    let knee = open.knee.then(|| {
-        let mut probe = |rate: u64| -> (u64, f64) {
-            let probe_spec = OpenLoopSpec {
-                rate_rps: rate,
-                // Bound each probe to ~2s of offered schedule so the
-                // bisection stays fast at low rates.
-                requests: open.requests.min((rate as usize * 2).max(200)),
-                ..spec.clone()
-            };
-            let sched = build_schedule(&probe_spec, works);
-            match run_open_loop(addr, probe_spec.connections, &sched) {
-                Ok(run) => {
-                    let p99 = run.hist.value_at_quantile(0.99);
-                    eprintln!(
-                        "loadgen[{name}]: probe {rate} req/s -> p99 {p99}us \
-                         (achieved {:.1} req/s)",
-                        run.achieved_rps
-                    );
-                    (p99, run.achieved_rps)
-                }
-                Err(e) => {
-                    eprintln!("loadgen[{name}]: probe {rate} req/s failed: {e}");
-                    (u64::MAX, 0.0)
-                }
-            }
-        };
-        let knee = find_knee(open.rate_min, open.rate_max, open.slo_p99_us, &mut probe);
-        eprintln!(
-            "loadgen[{name}]: knee {} req/s under p99 SLO {}us ({} probes)",
-            knee.max_rps,
-            knee.slo_p99_us,
-            knee.probes.len()
-        );
-        knee
-    });
-
-    let after = control.stats().expect("stats RPC");
-    let hits = after.hits - before.hits;
-    let misses = after.misses - before.misses;
-    let requests = after.requests - before.requests;
-    TopoReport {
-        name,
-        backends,
-        soak_rate: open.rate_rps,
-        soak,
-        hits,
-        misses,
-        requests,
-        hit_rate: if requests == 0 {
-            0.0
-        } else {
-            hits as f64 / requests as f64
-        },
-        server_service_p99_us: after.service_hist.value_at_quantile(0.99),
-        knee,
-    }
-}
-
-fn knee_json(knee: &Knee) -> String {
-    let probes: Vec<String> = knee
-        .probes
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"rate_rps\": {}, \"p99_us\": {}, \"achieved_rps\": {:.1}, \"ok\": {}}}",
-                p.rate_rps, p.p99_us, p.achieved_rps, p.ok
-            )
-        })
-        .collect();
-    format!(
-        "{{\"slo_p99_us\": {}, \"max_rps\": {}, \"p99_us_at_knee\": {}, \"probes\": [{}]}}",
-        knee.slo_p99_us,
-        knee.max_rps,
-        knee.p99_us_at_knee,
-        probes.join(", ")
-    )
-}
-
-fn topo_json(t: &TopoReport) -> String {
-    let h = &t.soak.hist;
-    let mut out = format!(
-        "    {{\"name\": \"{}\", \"backends\": {},\n     \"soak\": {{\"rate_rps\": {}, \
-         \"entries\": {}, \"items\": {}, \"errors\": {}, \"wall_seconds\": {:.3}, \
-         \"achieved_rps\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \
-         \"mean_us\": {:.1}, \"max_us\": {}, \"naive_p99_us\": {}, \"hits\": {}, \
-         \"misses\": {}, \"requests\": {}, \"hit_rate\": {:.4}, \
-         \"server_service_p99_us\": {}, \"hist\": {}}}",
-        t.name,
-        t.backends,
-        t.soak_rate,
-        t.soak.entries,
-        t.soak.items,
-        t.soak.errors,
-        t.soak.wall_seconds,
-        t.soak.achieved_rps,
-        h.value_at_quantile(0.50),
-        h.value_at_quantile(0.99),
-        h.value_at_quantile(0.999),
-        h.mean(),
-        h.max(),
-        t.soak.naive_hist.value_at_quantile(0.99),
-        t.hits,
-        t.misses,
-        t.requests,
-        t.hit_rate,
-        t.server_service_p99_us,
-        h.to_json(),
-    );
-    if let Some(knee) = &t.knee {
-        out.push_str(&format!(",\n     \"knee\": {}", knee_json(knee)));
-    }
-    out.push('}');
-    out
-}
-
-fn write_capacity_report(
-    path: &str,
-    args: &LoadgenArgs,
-    open: &OpenArgs,
-    topologies: &[TopoReport],
-) -> std::io::Result<()> {
-    let mut out = String::from("{\n  \"bench\": \"capacity\",\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"rate_rps\": {}, \"requests\": {}, \"connections\": {}, \
-         \"seed\": {}, \"zipf_s\": {}, \"batch_size\": {}, \"slo_p99_us\": {}, \
-         \"soak\": {}, \"knee\": {}, \"rate_min\": {}, \"rate_max\": {}}},\n",
-        open.rate_rps,
-        open.requests,
-        args.concurrency,
-        open.seed,
-        open.zipf_s,
-        open.batch_size,
-        open.slo_p99_us,
-        open.soak,
-        open.knee,
-        open.rate_min,
-        open.rate_max,
-    ));
-    out.push_str("  \"topologies\": [\n");
-    let body: Vec<String> = topologies.iter().map(topo_json).collect();
-    out.push_str(&body.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    std::fs::write(path, out)
-}
-
-fn run_open_mode(args: &LoadgenArgs, open: &OpenArgs) {
-    let works = pass_leg_works(args.small, &args.pass).expect("pass validated at parse");
-    let mut topologies = Vec::new();
-    let mut servers: Vec<ServerHandle> = Vec::new();
-
-    if let Some(addr) = &args.addr {
-        topologies.push(run_open_topology("external", 0, addr, args, open, &works));
-        if args.shutdown {
-            if let Ok(mut c) = Client::connect_retry(addr, args.connect_timeout) {
-                let _ = c.shutdown_server();
-            }
-        }
-    } else {
-        // Topology 1: one in-process server.
-        let single = spawn(ServerConfig {
-            workers: args.workers,
-            ..ServerConfig::default()
-        })
-        .expect("spawn in-process server");
-        let addr = single.local_addr().to_string();
-        topologies.push(run_open_topology("single", 0, &addr, args, open, &works));
-        single.shutdown();
-
-        // Topology 2: a 3-backend fleet behind the router.
-        let backends: Vec<ServerHandle> = (0..3)
-            .map(|_| {
-                spawn(ServerConfig {
-                    workers: args.workers,
-                    ..ServerConfig::default()
-                })
-                .expect("spawn backend")
-            })
-            .collect();
-        let router = spawn_router(RouterConfig {
-            backends: backends
-                .iter()
-                .map(|b| b.local_addr().to_string())
-                .collect(),
-            ..RouterConfig::default()
-        })
-        .expect("spawn router");
-        let addr = router.local_addr().to_string();
-        topologies.push(run_open_topology(
-            "routed",
-            backends.len(),
-            &addr,
-            args,
-            open,
-            &works,
-        ));
-        router.shutdown();
-        servers.extend(backends);
-    }
-
-    match write_capacity_report(&args.out, args, open, &topologies) {
-        Ok(()) => eprintln!("loadgen: wrote {}", args.out),
-        Err(e) => {
-            eprintln!("loadgen: could not write {}: {e}", args.out);
-            std::process::exit(1);
-        }
-    }
-    for server in servers {
-        server.shutdown();
-    }
-    let errors: u64 = topologies.iter().map(|t| t.soak.errors).sum();
-    if errors > 0 {
-        eprintln!("loadgen: {errors} soak response(s) carried errors");
-        std::process::exit(1);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Closed-loop mode (the original loadgen flow)
-// ---------------------------------------------------------------------------
-
-fn run_closed_mode(args: &LoadgenArgs, closed: &ClosedArgs) {
     // Either connect out, or boot an in-process server.
     let (addr, local) = match &args.addr {
         Some(addr) => (addr.clone(), None),
@@ -804,18 +490,18 @@ fn run_closed_mode(args: &LoadgenArgs, closed: &ClosedArgs) {
     eprintln!(
         "loadgen: {} requests/pass x {} passes, {} connection(s), {}",
         works.len(),
-        closed.passes,
+        args.passes,
         args.concurrency,
-        if closed.batch == 0 {
-            format!("window {}", closed.window)
+        if args.batch == 0 {
+            format!("window {}", args.window)
         } else {
-            format!("batches of {}", closed.batch)
+            format!("batches of {}", args.batch)
         }
     );
 
-    let mut passes = Vec::with_capacity(closed.passes);
-    for i in 0..closed.passes {
-        let p = run_pass(&addr, &works, args.concurrency, closed, &mut control);
+    let mut passes = Vec::with_capacity(args.passes);
+    for i in 0..args.passes {
+        let p = run_pass(&addr, &works, &args, &mut control);
         eprintln!(
             "  pass {i}: {:>6} req in {:>7.3}s  {:>9.1} req/s  hit-rate {:>5.1}%  \
              mean latency {:>8.1}us{}",
@@ -870,13 +556,9 @@ fn run_closed_mode(args: &LoadgenArgs, closed: &ClosedArgs) {
     );
 
     match write_report(
-        &args.out,
-        closed,
-        &ClosedSummary {
-            concurrency: args.concurrency,
-            n_requests: works.len(),
-            final_stats: &final_stats,
-        },
+        &args,
+        works.len(),
+        &final_stats,
         &passes,
         &compare,
         &cache_compare,
@@ -897,19 +579,5 @@ fn run_closed_mode(args: &LoadgenArgs, closed: &ClosedArgs) {
     if errors > 0 {
         eprintln!("loadgen: {errors} request(s) failed");
         std::process::exit(1);
-    }
-}
-
-fn main() {
-    let args = match parse_loadgen_args(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(err) => {
-            eprintln!("loadgen: {err}");
-            std::process::exit(2);
-        }
-    };
-    match args.mode.clone() {
-        Mode::Closed(closed) => run_closed_mode(&args, &closed),
-        Mode::Open(open) => run_open_mode(&args, &open),
     }
 }

@@ -39,19 +39,18 @@
 //! Binaries: `served` (the server), `routed` (a cache-affinity front-end
 //! that consistent-hashes canonical keys across a fleet of `served`
 //! backends — [`router`]), and `loadgen` (a closed-loop generator replaying
-//! the paper's workload table, writing `BENCH_serve.json`; with
-//! `--open-loop`, a coordinated-omission-safe capacity harness —
-//! [`capacity`] — that soaks a fixed offered rate, bisects for the
-//! max-sustained-rps knee under a p99 SLO, and writes
-//! `BENCH_capacity.json`). The `stats` op carries a mergeable service-time
-//! histogram ([`iconv_api::LatencyHist`]), striped per cache shard on the
-//! server and fleet-merged through the router. `expall --via-serve` routes
+//! the paper's workload table, writing `BENCH_serve.json`). Open-loop
+//! latency at fixed offered rates is measured from outside the process by
+//! the `iconv-benchmark` package (`benchmark/`). The `stats` op carries a
+//! mergeable service-time histogram ([`iconv_api::LatencyHist`]), striped
+//! per cache shard on the server and fleet-merged through the router.
+//! Request lines longer than [`MAX_LINE_BYTES`] are refused with a typed
+//! `parse` error and the connection is closed. `expall --via-serve` routes
 //! its summary's layer estimates through a server (or a router) with
 //! byte-identical output — GPU `f64` cycles cross the wire as IEEE-754 bit
 //! strings to keep that guarantee exact.
 
 pub mod cache;
-pub mod capacity;
 pub mod cli;
 pub mod client;
 pub mod engine;
@@ -73,7 +72,7 @@ pub use iconv_api::canonical_key;
 pub use protocol::{
     ErrorKind, EstimateRequest, GpuEstimate, GpuHwSpec, Op, Request, Response, ShardStat,
     StatsSnapshot, SweepError, SweepSpec, SweepTarget, TpuChip, TpuEstimate, TpuHwSpec,
-    TuneEstimate, TuneTarget, TunedConfig, Work, MAX_SWEEP_ITEMS,
+    TuneEstimate, TuneTarget, TunedConfig, Work, MAX_LINE_BYTES, MAX_SWEEP_ITEMS,
 };
 pub use router::{spawn_router, Breaker, BreakerState, RouterConfig, RouterHandle, RouterStats};
 pub use server::{spawn, ServerConfig, ServerHandle};

@@ -51,7 +51,7 @@
 //! runs exercise the breaker paths deterministically.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, BufWriter, ErrorKind as IoErrorKind, Write};
+use std::io::{self, BufReader, BufWriter, ErrorKind as IoErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -68,6 +68,7 @@ use crate::protocol::{
     finish_item_response, finish_response, pong_body, shards_body, shutdown_body, stats_body,
     ErrorKind, EstimateRequest, Request, Response, ShardStat, StatsSnapshot, Work,
 };
+use crate::server::{line_too_long_response, read_request_line, RequestLine};
 
 /// Default virtual nodes per backend on the ring.
 pub const DEFAULT_VNODES: usize = 64;
@@ -477,17 +478,18 @@ fn conn_loop(stream: TcpStream, shared: &Arc<RouterShared>) {
     let mut reader = BufReader::new(read_half);
     let mut out = BufWriter::new(stream);
     let mut conns: Vec<Option<Client>> = (0..shared.backends.len()).map(|_| None).collect();
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let responses = handle_request(line.trim_end(), shared, &mut conns);
+        let responses = match read_request_line(&mut reader, &mut buf) {
+            RequestLine::Line(line) if line.trim().is_empty() => continue,
+            RequestLine::Line(line) => handle_request(line.trim_end(), shared, &mut conns),
+            RequestLine::TooLong => {
+                shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
+                let _ = writeln!(out, "{}", line_too_long_response());
+                break;
+            }
+            RequestLine::Closed => break,
+        };
         for r in &responses {
             if out.write_all(r.as_bytes()).is_err() || out.write_all(b"\n").is_err() {
                 return;
@@ -497,6 +499,11 @@ fn conn_loop(stream: TcpStream, shared: &Arc<RouterShared>) {
             return;
         }
     }
+    // No more lines are coming: send what is owed, then EOF, since the
+    // dup'd handle in `shared.conns` keeps the socket itself open until
+    // shutdown.
+    let _ = out.flush();
+    let _ = out.get_ref().shutdown(Shutdown::Write);
 }
 
 /// One request↔backend exchange: send `line`, read `n_lines` responses.

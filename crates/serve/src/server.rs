@@ -82,7 +82,7 @@
 //! response instead of a hole in the writer's sequence space.
 
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind as IoErrorKind, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind as IoErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -102,7 +102,7 @@ use crate::engine;
 use crate::protocol::{
     self, batch_refusal, batch_summary_body, error_body, finish_item_response, finish_response,
     pong_body, shards_body, shutdown_body, stats_body, ErrorKind, LatencyHist, Request,
-    StatsSnapshot, TuneEstimate, Work,
+    StatsSnapshot, TuneEstimate, Work, MAX_LINE_BYTES,
 };
 
 /// Server tunables.
@@ -620,18 +620,66 @@ fn writer_loop(
         }
     }
     let _ = out.flush();
+    // No more lines are coming: send EOF now, since the dup'd handle in
+    // `shared.conns` keeps the socket itself open until shutdown.
+    let _ = out.get_ref().shutdown(Shutdown::Write);
+}
+
+/// What the next read of a request line found.
+pub(crate) enum RequestLine<'a> {
+    /// One line (trailing newline kept) of at most [`MAX_LINE_BYTES`].
+    Line(&'a str),
+    /// [`MAX_LINE_BYTES`] bytes went by without a newline.
+    TooLong,
+    /// End of stream, a socket error, or a line that is not UTF-8.
+    Closed,
+}
+
+/// Read the next request line into `buf`, which is cleared first and
+/// reused across calls. At most `MAX_LINE_BYTES + 1` bytes are read, so a
+/// client that never sends a newline costs a bounded buffer.
+pub(crate) fn read_request_line<'a>(
+    reader: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+) -> RequestLine<'a> {
+    buf.clear();
+    match reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', buf)
+    {
+        Ok(0) | Err(_) => RequestLine::Closed,
+        Ok(n) if n > MAX_LINE_BYTES && buf.last() != Some(&b'\n') => RequestLine::TooLong,
+        Ok(_) => std::str::from_utf8(buf).map_or(RequestLine::Closed, RequestLine::Line),
+    }
+}
+
+/// The one response to a request line over [`MAX_LINE_BYTES`]; the
+/// connection stops reading after it.
+pub(crate) fn line_too_long_response() -> String {
+    finish_response(
+        None,
+        &error_body(
+            ErrorKind::Parse,
+            &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+        ),
+    )
 }
 
 fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, tx: &Sender<(u64, String)>) {
     let mut reader = BufReader::new(stream);
     let mut seq = 0u64;
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
+        let line = match read_request_line(&mut reader, &mut buf) {
+            RequestLine::Line(line) => line,
+            RequestLine::TooLong => {
+                shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
+                let _ = tx.send((seq, line_too_long_response()));
+                break;
+            }
+            RequestLine::Closed => break,
+        };
         if line.trim().is_empty() {
             continue;
         }
