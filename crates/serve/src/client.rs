@@ -32,6 +32,19 @@ use crate::protocol::{
 /// `loadgen --connect-timeout` overrides it per run.
 pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// Connect to `addr`, retrying every 20 ms until `timeout` elapses (a
+/// zero timeout makes one attempt).
+pub(crate) fn connect_retry(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(stream) => return Ok(stream),
+            Err(e) if Instant::now() >= deadline => return Err(e),
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        }
+    }
+}
+
 /// One successfully-estimated batch item, in either engine's currency.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Estimate {
@@ -98,7 +111,10 @@ impl Client {
     ///
     /// Propagates connect/clone failures.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
+        Client::from_stream(TcpStream::connect(addr)?)
+    }
+
+    fn from_stream(stream: TcpStream) -> io::Result<Client> {
         stream.set_nodelay(true).ok();
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
@@ -115,18 +131,7 @@ impl Client {
     ///
     /// Returns the last connect error once the deadline passes.
     pub fn connect_retry(addr: &str, timeout: Duration) -> io::Result<Client> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match Client::connect(addr) {
-                Ok(c) => return Ok(c),
-                Err(e) => {
-                    if Instant::now() >= deadline {
-                        return Err(e);
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        }
+        Client::from_stream(connect_retry(addr, timeout)?)
     }
 
     /// Queue one raw request line (no newline) without flushing — the

@@ -12,19 +12,34 @@
 //!
 //! # Forwarding model
 //!
-//! Each client connection gets one router thread working in lockstep:
-//! read a request line, forward, relay the response, repeat. Single
-//! estimates are forwarded **verbatim** — the backend sees the client's
-//! exact bytes (id included), so the relayed response is byte-identical
-//! to talking to that backend directly. A `batch` is scattered: items
-//! are grouped by owning backend, sub-batches are sent id-free, and the
-//! item lines are rebuilt with the client's id and original item indices
-//! — the same rendering `served` itself uses, so the assembled stream is
-//! byte-identical to a single server's. `stats` merges every backend's
-//! snapshot ([`StatsSnapshot::merge`]); `shards` concatenates the fleet's
-//! per-shard counters with renumbered shard ids; `ping` is answered
-//! locally; `shutdown` is broadcast and then honored by the router
-//! itself.
+//! Each client connection is pipelined, the way `served`'s are: a
+//! **reader** thread parses each line and forwards it at once, and a
+//! **writer** thread gathers the backends' answers and writes them back in
+//! request order. The reader runs at most [`PIPELINE_DEPTH`] requests
+//! ahead, so a client that never reads stalls only its own reader. Each
+//! (client connection, backend) pair shares one backend connection: the
+//! reader sends on it and the writer reads from it, so every backend
+//! answers in send order and no sequence numbers are needed.
+//!
+//! Single estimates are forwarded **verbatim** — the backend sees the
+//! client's exact bytes (id included), so the relayed response is
+//! byte-identical to talking to that backend directly. A `batch` is
+//! scattered: items are grouped by owning backend, every sub-batch is sent
+//! id-free before any answer is read, and the item lines are rebuilt with
+//! the client's id and original item indices — the same rendering `served`
+//! itself uses, so the assembled stream is byte-identical to a single
+//! server's. `stats` and `shards` are likewise sent to every backend
+//! before any answer is read: `stats` merges the snapshots
+//! ([`StatsSnapshot::merge`]) and `shards` concatenates the fleet's
+//! per-shard counters with renumbered shard ids. `ping` is answered
+//! locally. `shutdown` is broadcast, and the router starts draining as soon
+//! as it is sent, so a later line on the same connection is refused.
+//!
+//! A failed send or gather drops that backend connection (the reader
+//! reconnects on its next send) and counts against the backend's breaker.
+//! The writer then re-issues the lost single or sub-batch on connections of
+//! its own, where it is the only line in flight, walking the key's
+//! failover order — so answers stay byte-identical and no item is lost.
 //!
 //! # Failure containment
 //!
@@ -48,13 +63,16 @@
 //! consults two sites: `route-send` (the forward write fails as if the
 //! backend dropped) and `route-recv` (the relay read fails likewise).
 //! Both feed the same failover machinery as real socket errors, so chaos
-//! runs exercise the breaker paths deterministically.
+//! runs exercise the breaker paths. Each site follows its plan's seeded
+//! decision stream; which line a decision lands on depends on how a
+//! connection's reader (pipelined sends) and writer (gathers and
+//! re-issues) interleave.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufReader, BufWriter, ErrorKind as IoErrorKind, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, ErrorKind as IoErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -62,16 +80,22 @@ use std::time::{Duration, Instant};
 use iconv_api::{canonical_key, HashRing};
 use iconv_faults::{FaultPoint, FaultSite};
 
-use crate::client::{Client, RetryPolicy};
+use crate::client::{connect_retry, Client, RetryPolicy};
 use crate::protocol::{
     self, batch_refusal, batch_summary_body, encode_batch, encode_simple, error_body,
     finish_item_response, finish_response, pong_body, shards_body, shutdown_body, stats_body,
     ErrorKind, EstimateRequest, Request, Response, ShardStat, StatsSnapshot, Work,
 };
-use crate::server::{line_too_long_response, read_request_line, RequestLine};
+use crate::server::{
+    accept_loop, line_too_long_response, read_request_line, wake_acceptor, Connections, Half,
+    RequestLine,
+};
 
 /// Default virtual nodes per backend on the ring.
 pub const DEFAULT_VNODES: usize = 64;
+
+/// Requests a client connection's reader may run ahead of its writer.
+pub const PIPELINE_DEPTH: usize = 128;
 
 /// Router tunables.
 #[derive(Debug, Clone)]
@@ -251,8 +275,7 @@ struct RouterShared {
     shutting_down: AtomicBool,
     shutdown_requested: Mutex<bool>,
     shutdown_cv: Condvar,
-    conns: Mutex<Vec<TcpStream>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    conns: Arc<Connections>,
 }
 
 impl RouterShared {
@@ -274,6 +297,23 @@ impl RouterShared {
             unrouted: self.counters.unrouted.load(Ordering::Relaxed),
             parse_errors: self.counters.parse_errors.load(Ordering::Relaxed),
         }
+    }
+
+    /// Whether the fault plan, if armed, injects a failure at `site`.
+    fn injected(&self, site: FaultSite) -> bool {
+        self.faults.as_ref().is_some_and(|f| {
+            let hit = f.decide(site).is_some();
+            if hit {
+                f.observe(site);
+            }
+            hit
+        })
+    }
+
+    /// A request no backend would take: counted, and answered `busy`.
+    fn unrouted(&self) -> String {
+        self.counters.unrouted.fetch_add(1, Ordering::Relaxed);
+        error_body(ErrorKind::Busy, "no healthy backend")
     }
 }
 
@@ -326,21 +366,13 @@ impl RouterHandle {
     pub fn shutdown(mut self) -> RouterStats {
         self.shared.request_shutdown();
         if let Some(h) = self.acceptor.take() {
+            wake_acceptor(self.addr);
             let _ = h.join();
         }
         if let Some(h) = self.health.take() {
             let _ = h.join();
         }
-        for conn in self.shared.conns.lock().expect("conns poisoned").drain(..) {
-            let _ = conn.shutdown(Shutdown::Read);
-        }
-        let threads: Vec<_> = {
-            let mut guard = self.shared.conn_threads.lock().expect("threads poisoned");
-            guard.drain(..).collect()
-        };
-        for h in threads {
-            let _ = h.join();
-        }
+        self.shared.conns.close_all();
         self.shared.stats()
     }
 }
@@ -359,7 +391,6 @@ pub fn spawn_router(cfg: RouterConfig) -> io::Result<RouterHandle> {
         ));
     }
     let listener = TcpListener::bind(&cfg.listen_addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let vnodes = if cfg.vnodes == 0 {
         DEFAULT_VNODES
@@ -379,14 +410,17 @@ pub fn spawn_router(cfg: RouterConfig) -> io::Result<RouterHandle> {
         shutting_down: AtomicBool::new(false),
         shutdown_requested: Mutex::new(false),
         shutdown_cv: Condvar::new(),
-        conns: Mutex::new(Vec::new()),
-        conn_threads: Mutex::new(Vec::new()),
+        conns: Arc::default(),
     });
     let acceptor = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("iconv-route-accept".to_owned())
-            .spawn(move || accept_loop(&listener, &shared))
+            .spawn(move || {
+                accept_loop(&listener, &shared.shutting_down, "routed", |stream| {
+                    start_connection(stream, &shared)
+                });
+            })
             .expect("spawn acceptor")
     };
     let health = {
@@ -408,9 +442,18 @@ pub fn spawn_router(cfg: RouterConfig) -> io::Result<RouterHandle> {
 /// Probe every backend each interval so breakers recover (and trip)
 /// without client traffic. A probe is one fresh connection and one ping —
 /// it deliberately bypasses `allow()`'s half-open transition only for
-/// breakers still inside their backoff window.
-fn health_loop(shared: &Arc<RouterShared>, interval: Duration) {
-    while !shared.shutting_down.load(Ordering::SeqCst) {
+/// breakers still inside their backoff window. The wait between rounds
+/// ends early when shutdown is requested.
+fn health_loop(shared: &RouterShared, interval: Duration) {
+    let flag = || {
+        shared
+            .shutdown_requested
+            .lock()
+            .expect("shutdown flag poisoned")
+    };
+    let mut stop = flag();
+    while !*stop {
+        drop(stop);
         for (b, addr) in shared.backends.iter().enumerate() {
             if !shared.breakers[b].allow() {
                 continue;
@@ -424,74 +467,383 @@ fn health_loop(shared: &Arc<RouterShared>, interval: Duration) {
                 shared.breakers[b].on_failure();
             }
         }
-        std::thread::sleep(interval);
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
-    while !shared.shutting_down.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if let Err(e) = start_connection(stream, shared) {
-                    eprintln!("routed: failed to start connection: {e}");
-                }
-            }
-            Err(e) if e.kind() == IoErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
+        stop = shared
+            .shutdown_cv
+            .wait_timeout_while(flag(), interval, |stop| !*stop)
+            .expect("shutdown flag poisoned")
+            .0;
     }
 }
 
 fn start_connection(stream: TcpStream, shared: &Arc<RouterShared>) -> io::Result<()> {
     stream.set_nodelay(true).ok();
-    shared
-        .conns
-        .lock()
-        .expect("conns poisoned")
-        .push(stream.try_clone()?);
-    let handler = {
+    let read_half = stream.try_clone()?;
+    let registered = stream.try_clone()?;
+    let (tx, rx) = sync_channel(PIPELINE_DEPTH);
+    let writer: Half = {
         let shared = Arc::clone(shared);
-        std::thread::Builder::new()
-            .name("iconv-route-conn".to_owned())
-            .spawn(move || {
-                let _ = catch_unwind(AssertUnwindSafe(|| conn_loop(stream, &shared)));
-            })?
+        Box::new(move || writer_loop(stream, &shared, &rx))
     };
-    shared
-        .conn_threads
-        .lock()
-        .expect("threads poisoned")
-        .push(handler);
-    Ok(())
+    let reader: Half = {
+        let shared = Arc::clone(shared);
+        Box::new(move || reader_loop(read_half, &shared, &tx))
+    };
+    shared.conns.start(
+        registered,
+        [("iconv-route-write", writer), ("iconv-route-read", reader)],
+    )
 }
 
-/// One client connection, in strict lockstep: read a line, emit its
-/// response lines, flush, repeat. The thread owns its backend
-/// connections, so concurrent clients never contend on a shared socket.
-fn conn_loop(stream: TcpStream, shared: &Arc<RouterShared>) {
-    let read_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
+/// One connection to a backend. On the pipeline, a client connection's
+/// reader sends on it and its writer gathers the answers, which the
+/// backend returns in send order; the writer's re-issue links are used by
+/// the writer alone.
+struct Link {
+    out: TcpStream,
+    input: Mutex<BufReader<TcpStream>>,
+    /// Set once a send or gather on the link fails. An answer may then be
+    /// half read, so no later line is sent or gathered on it.
+    broken: AtomicBool,
+}
+
+impl Link {
+    fn connect(addr: &str, timeout: Duration) -> io::Result<Arc<Self>> {
+        let out = connect_retry(addr, timeout)?;
+        out.set_nodelay(true).ok();
+        let input = Mutex::new(BufReader::new(out.try_clone()?));
+        Ok(Arc::new(Self {
+            out,
+            input,
+            broken: AtomicBool::new(false),
+        }))
+    }
+
+    fn is_broken(&self) -> bool {
+        self.broken.load(Ordering::SeqCst)
+    }
+
+    fn send(&self, shared: &RouterShared, line: &str) -> io::Result<()> {
+        if shared.injected(FaultSite::RouteSend) {
+            return Err(io::Error::other("injected route-send failure"));
+        }
+        let mut bytes = Vec::with_capacity(line.len() + 1);
+        bytes.extend_from_slice(line.as_bytes());
+        bytes.push(b'\n');
+        (&self.out).write_all(&bytes)
+    }
+
+    fn recv(&self, shared: &RouterShared, n: usize) -> io::Result<Vec<String>> {
+        let mut input = self.input.lock().expect("link input poisoned");
+        (0..n)
+            .map(|_| {
+                if shared.injected(FaultSite::RouteRecv) {
+                    return Err(io::Error::other("injected route-recv failure"));
+                }
+                let mut line = String::new();
+                if input.read_line(&mut line)? == 0 {
+                    return Err(io::Error::new(
+                        IoErrorKind::UnexpectedEof,
+                        "backend closed the connection",
+                    ));
+                }
+                line.truncate(line.trim_end_matches(['\n', '\r']).len());
+                Ok(line)
+            })
+            .collect()
+    }
+
+    /// Mark the link broken and close it. True for the first caller only,
+    /// so one broken link counts once against its backend's breaker.
+    fn break_off(&self) -> bool {
+        let first = !self.broken.swap(true, Ordering::SeqCst);
+        if first {
+            let _ = self.out.shutdown(Shutdown::Both);
+        }
+        first
+    }
+}
+
+/// A line sent to one backend, whose answer the writer gathers.
+struct Sent {
+    backend: usize,
+    /// The link the line went out on; `None` when connecting or sending
+    /// failed, which was counted against the breaker then.
+    link: Option<Arc<Link>>,
+}
+
+impl Sent {
+    /// The `n` answer lines, or `None` if the line was not sent, its link
+    /// broke before, or reading fails now (see [`Sent::fail`]).
+    fn gather(&self, shared: &RouterShared, n: usize) -> Option<Vec<String>> {
+        let link = self.link.as_ref().filter(|l| !l.is_broken())?;
+        let lines = link.recv(shared, n);
+        if lines.is_err() {
+            self.fail(shared);
+        }
+        lines.ok()
+    }
+
+    /// A sub-batch's item bodies, gathered and split; a malformed answer
+    /// fails the link.
+    fn gather_batch(&self, shared: &RouterShared, n: usize) -> Option<Vec<String>> {
+        let bodies = split_batch_lines(&self.gather(shared, n + 1)?, n);
+        if bodies.is_err() {
+            self.fail(shared);
+        }
+        bodies.ok()
+    }
+
+    /// Give up on the line's link, counting against the backend's breaker
+    /// unless the link had already been given up.
+    fn fail(&self, shared: &RouterShared) {
+        if self.link.as_ref().is_some_and(|l| l.break_off()) {
+            shared.breakers[self.backend].on_failure();
+        }
+    }
+}
+
+/// Send `line` to backend `b` on `links[b]`, connecting first when the
+/// link is missing or broken. A failure to connect or send counts against
+/// the backend's breaker.
+fn send(shared: &RouterShared, links: &mut [Option<Arc<Link>>], b: usize, line: &str) -> Sent {
+    let failed = Sent {
+        backend: b,
+        link: None,
     };
-    let mut reader = BufReader::new(read_half);
-    let mut out = BufWriter::new(stream);
-    let mut conns: Vec<Option<Client>> = (0..shared.backends.len()).map(|_| None).collect();
+    let link = match &links[b] {
+        Some(link) if !link.is_broken() => Arc::clone(link),
+        _ => match Link::connect(&shared.backends[b], shared.connect_timeout) {
+            Ok(link) => links[b].insert(link).clone(),
+            Err(_) => {
+                links[b] = None;
+                shared.breakers[b].on_failure();
+                return failed;
+            }
+        },
+    };
+    if link.send(shared, line).is_err() {
+        if link.break_off() {
+            shared.breakers[b].on_failure();
+        }
+        return failed;
+    }
+    Sent {
+        backend: b,
+        link: Some(link),
+    }
+}
+
+/// The ops sent to several backends at once.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum FleetOp {
+    Stats,
+    Shards,
+    Shutdown,
+}
+
+/// What the writer owes the client for one request line, and what it must
+/// gather from the backends to answer it.
+enum Plan {
+    /// Lines the router answers itself.
+    Local(Vec<String>),
+    /// A single estimate, forwarded verbatim to position `nth` of its key's
+    /// failover `order`.
+    Single {
+        id: Option<String>,
+        line: String,
+        order: Vec<usize>,
+        nth: usize,
+        sent: Sent,
+    },
+    /// A batch scattered by key ownership: its sub-batches, each with the
+    /// items it carries, and the bodies of items no backend would take.
+    Batch {
+        id: Option<String>,
+        items: Vec<Work>,
+        deadline_ms: Option<u64>,
+        bodies: Vec<Option<String>>,
+        subs: Vec<(Sent, Vec<usize>)>,
+    },
+    /// `stats`, `shards` or `shutdown`, sent to several backends.
+    Fleet {
+        op: FleetOp,
+        id: Option<String>,
+        sent: Vec<Sent>,
+    },
+}
+
+/// The reader half of a client connection: parse each line, send what it
+/// needs to the backends at once, and queue its plan for the writer. A
+/// full queue stalls only this reader.
+fn reader_loop(stream: TcpStream, shared: &RouterShared, plans: &SyncSender<Plan>) {
+    let mut reader = BufReader::new(stream);
+    let mut links: Vec<Option<Arc<Link>>> = vec![None; shared.backends.len()];
     let mut buf = Vec::new();
     loop {
-        let responses = match read_request_line(&mut reader, &mut buf) {
+        let plan = match read_request_line(&mut reader, &mut buf) {
             RequestLine::Line(line) if line.trim().is_empty() => continue,
-            RequestLine::Line(line) => handle_request(line.trim_end(), shared, &mut conns),
+            RequestLine::Line(line) => plan(line.trim_end(), shared, &mut links),
             RequestLine::TooLong => {
                 shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = writeln!(out, "{}", line_too_long_response());
-                break;
+                let _ = plans.send(Plan::Local(vec![line_too_long_response()]));
+                return;
             }
-            RequestLine::Closed => break,
+            RequestLine::Closed => return,
         };
-        for r in &responses {
-            if out.write_all(r.as_bytes()).is_err() || out.write_all(b"\n").is_err() {
+        if plans.send(plan).is_err() {
+            return;
+        }
+    }
+}
+
+/// Parse one client line and send whatever it needs to the backends.
+fn plan(line: &str, shared: &RouterShared, links: &mut [Option<Arc<Link>>]) -> Plan {
+    let req = match protocol::parse_request(line) {
+        Ok(req) => req,
+        Err(e) => {
+            shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
+            let body = error_body(e.kind, &e.detail);
+            return Plan::Local(vec![finish_response(e.id.as_deref(), &body)]);
+        }
+    };
+    let draining = shared.shutting_down.load(Ordering::SeqCst);
+    let refusal = || error_body(ErrorKind::ShuttingDown, "router is draining");
+    let (id, route) = match req {
+        Request::Ping { id } => {
+            return Plan::Local(vec![finish_response(id.as_deref(), &pong_body())])
+        }
+        Request::Stats { id } => return fan_out(shared, links, FleetOp::Stats, id),
+        Request::Shards { id } => return fan_out(shared, links, FleetOp::Shards, id),
+        Request::Shutdown { id } => {
+            let plan = fan_out(shared, links, FleetOp::Shutdown, id);
+            // Draining from here: a later line on this connection is
+            // refused even before the backends have answered.
+            shared.request_shutdown();
+            return plan;
+        }
+        Request::Estimate(EstimateRequest { id, work, .. }) => (id, work),
+        // Keyed by the layer's *tune* key, so one backend owns a layer's
+        // search, its tune-store entry, and every `"hw":"tuned"` estimate
+        // derived from it — the affinity the plain `tune` op gets.
+        Request::TunedEstimate {
+            id, shape, target, ..
+        } => (id, Work::Tune { shape, target }),
+        Request::Batch {
+            id,
+            items,
+            deadline_ms,
+        } => {
+            if draining {
+                return Plan::Local(batch_refusal(id.as_deref(), items.len(), &refusal()));
+            }
+            let mut bodies = vec![None; items.len()];
+            let subs = scatter(
+                shared,
+                links,
+                &items,
+                deadline_ms,
+                0..items.len(),
+                &mut bodies,
+            );
+            return Plan::Batch {
+                id,
+                items,
+                deadline_ms,
+                bodies,
+                subs,
+            };
+        }
+    };
+    // A single estimate goes verbatim to the first backend on its key's
+    // failover order whose breaker admits it.
+    let body = if draining {
+        refusal()
+    } else {
+        let order = shared.ring.failover_order(&canonical_key(&route));
+        if let Some(nth) = order.iter().position(|&b| shared.breakers[b].allow()) {
+            let sent = send(shared, links, order[nth], line);
+            return Plan::Single {
+                id,
+                line: line.to_owned(),
+                order,
+                nth,
+                sent,
+            };
+        }
+        shared.unrouted()
+    };
+    Plan::Local(vec![finish_response(id.as_deref(), &body)])
+}
+
+/// Send a fleet op to every backend whose breaker admits it; a `shutdown`
+/// goes to all of them, since a draining fleet should not leave a flaky
+/// backend running.
+fn fan_out(
+    shared: &RouterShared,
+    links: &mut [Option<Arc<Link>>],
+    op: FleetOp,
+    id: Option<String>,
+) -> Plan {
+    let line = encode_simple(
+        match op {
+            FleetOp::Stats => "stats",
+            FleetOp::Shards => "shards",
+            FleetOp::Shutdown => "shutdown",
+        },
+        None,
+    );
+    let sent = (0..shared.backends.len())
+        .filter(|&b| op == FleetOp::Shutdown || shared.breakers[b].allow())
+        .map(|b| send(shared, links, b, &line))
+        .collect();
+    Plan::Fleet { op, id, sent }
+}
+
+/// Group the items `idxs` by the first backend on each key's failover
+/// order whose breaker admits it, and send each group as an id-free
+/// sub-batch on `links`. An item no backend will take is answered `busy`
+/// in `bodies`, mirroring queue overload.
+fn scatter(
+    shared: &RouterShared,
+    links: &mut [Option<Arc<Link>>],
+    items: &[Work],
+    deadline_ms: Option<u64>,
+    idxs: impl IntoIterator<Item = usize>,
+    bodies: &mut [Option<String>],
+) -> Vec<(Sent, Vec<usize>)> {
+    let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for i in idxs {
+        let target = shared
+            .ring
+            .failover_order(&canonical_key(&items[i]))
+            .into_iter()
+            .find(|&b| shared.breakers[b].allow());
+        match target {
+            Some(b) => groups.entry(b).or_default().push(i),
+            None => bodies[i] = Some(shared.unrouted()),
+        }
+    }
+    groups
+        .into_iter()
+        .map(|(b, idxs)| {
+            let works: Vec<Work> = idxs.iter().map(|&i| items[i]).collect();
+            let sent = send(shared, links, b, &encode_batch(None, &works, deadline_ms));
+            (sent, idxs)
+        })
+        .collect()
+}
+
+/// The writer half of a client connection: answer each plan in request
+/// order, gathering from the backends. Each answer is flushed at once,
+/// since gathering the next plan's may block on a backend. A line the
+/// pipeline loses is re-issued on `own`, the writer's links, where it is
+/// the only line in flight.
+fn writer_loop(stream: TcpStream, shared: &RouterShared, plans: &Receiver<Plan>) {
+    let mut out = BufWriter::new(stream);
+    let mut own: Vec<Option<Arc<Link>>> = vec![None; shared.backends.len()];
+    while let Ok(plan) = plans.recv() {
+        for line in answer(plan, shared, &mut own) {
+            if out.write_all(line.as_bytes()).is_err() || out.write_all(b"\n").is_err() {
                 return;
             }
         }
@@ -499,85 +851,160 @@ fn conn_loop(stream: TcpStream, shared: &Arc<RouterShared>) {
             return;
         }
     }
-    // No more lines are coming: send what is owed, then EOF, since the
-    // dup'd handle in `shared.conns` keeps the socket itself open until
-    // shutdown.
-    let _ = out.flush();
+    // The reader has stopped and every owed line is written: send EOF now,
+    // not when the registry drops its dup of the stream.
     let _ = out.get_ref().shutdown(Shutdown::Write);
 }
 
-/// One request↔backend exchange: send `line`, read `n_lines` responses.
-/// Any failure (connect, injected seam, socket) drops the backend
-/// connection so the next exchange starts clean — a half-read stream
-/// must never be re-used.
-fn exchange(
-    shared: &RouterShared,
-    conns: &mut [Option<Client>],
-    b: usize,
-    line: &str,
-    n_lines: usize,
-) -> io::Result<Vec<String>> {
-    if conns[b].is_none() {
-        conns[b] = Some(Client::connect_retry(
-            &shared.backends[b],
-            shared.connect_timeout,
-        )?);
-    }
-    let c = conns[b].as_mut().expect("just connected");
-    let res = (|| {
-        if let Some(f) = &shared.faults {
-            if f.decide(FaultSite::RouteSend).is_some() {
-                f.observe(FaultSite::RouteSend);
-                return Err(io::Error::other("injected route-send failure"));
-            }
+/// Gather one plan's answers and render its response lines.
+fn answer(plan: Plan, shared: &RouterShared, own: &mut [Option<Arc<Link>>]) -> Vec<String> {
+    match plan {
+        Plan::Local(lines) => lines,
+        Plan::Single {
+            id,
+            line,
+            order,
+            nth,
+            sent,
+        } => {
+            let relayed = relay_single(shared, own, &order, nth, sent, &line);
+            vec![relayed.unwrap_or_else(|| finish_response(id.as_deref(), &shared.unrouted()))]
         }
-        c.send_line(line)?;
-        c.flush()?;
-        let mut lines = Vec::with_capacity(n_lines);
-        for _ in 0..n_lines {
-            if let Some(f) = &shared.faults {
-                if f.decide(FaultSite::RouteRecv).is_some() {
-                    f.observe(FaultSite::RouteRecv);
-                    return Err(io::Error::other("injected route-recv failure"));
-                }
-            }
-            lines.push(c.recv_line()?);
+        Plan::Batch {
+            id,
+            items,
+            deadline_ms,
+            mut bodies,
+            subs,
+        } => {
+            relay_batch(shared, own, &items, deadline_ms, &mut bodies, subs);
+            let id = id.as_deref();
+            let mut errors = 0u64;
+            let mut lines: Vec<String> = bodies
+                .iter()
+                .enumerate()
+                .map(|(i, body)| {
+                    let body = body.as_deref().expect("every item answered");
+                    if body.starts_with("\"ok\":false") {
+                        errors += 1;
+                    }
+                    finish_item_response(id, i, body)
+                })
+                .collect();
+            let summary = batch_summary_body(bodies.len() as u64, errors);
+            lines.push(finish_response(id, &summary));
+            lines
         }
-        Ok(lines)
-    })();
-    if res.is_err() {
-        conns[b] = None;
+        Plan::Fleet { op, id, sent } => vec![finish_response(
+            id.as_deref(),
+            &gather_fleet(shared, op, &sent),
+        )],
     }
-    res
 }
 
-/// Forward a raw single-response line along `key`'s failover order,
-/// returning the backend's response verbatim; `None` when no backend is
-/// healthy.
-fn forward_raw(
+/// Relay a single's answer from position `nth` of its failover `order`,
+/// where `sent` went. If that fails, walk the rest of the order in
+/// lockstep on the writer's own links. `None` when no backend answers.
+fn relay_single(
     shared: &RouterShared,
-    conns: &mut [Option<Client>],
-    key: &str,
+    own: &mut [Option<Arc<Link>>],
+    order: &[usize],
+    nth: usize,
+    sent: Sent,
     line: &str,
 ) -> Option<String> {
-    for (nth, b) in shared.ring.failover_order(key).into_iter().enumerate() {
-        if !shared.breakers[b].allow() {
-            continue;
-        }
-        match exchange(shared, conns, b, line, 1) {
-            Ok(mut lines) => {
-                shared.breakers[b].on_success();
-                shared.counters.forwarded.fetch_add(1, Ordering::Relaxed);
-                if nth > 0 {
-                    shared.counters.failovers.fetch_add(1, Ordering::Relaxed);
-                }
-                return lines.pop();
+    let mut pending = Some(sent);
+    for (pos, &b) in order.iter().enumerate().skip(nth) {
+        let sent = match pending.take() {
+            Some(sent) => sent,
+            None if shared.breakers[b].allow() => send(shared, own, b, line),
+            None => continue,
+        };
+        if let Some(mut lines) = sent.gather(shared, 1) {
+            shared.breakers[b].on_success();
+            shared.counters.forwarded.fetch_add(1, Ordering::Relaxed);
+            if pos > 0 {
+                shared.counters.failovers.fetch_add(1, Ordering::Relaxed);
             }
-            Err(_) => shared.breakers[b].on_failure(),
+            return lines.pop();
         }
     }
-    shared.counters.unrouted.fetch_add(1, Ordering::Relaxed);
     None
+}
+
+/// Gather every sub-batch into `bodies`. Items of a failed sub-batch are
+/// scattered again on the writer's own links, walking their keys'
+/// failover orders (estimates are idempotent under canonical keys), until
+/// every item has a body.
+fn relay_batch(
+    shared: &RouterShared,
+    own: &mut [Option<Arc<Link>>],
+    items: &[Work],
+    deadline_ms: Option<u64>,
+    bodies: &mut [Option<String>],
+    mut subs: Vec<(Sent, Vec<usize>)>,
+) {
+    while !subs.is_empty() {
+        let mut unresolved = Vec::new();
+        for (sent, idxs) in subs {
+            match sent.gather_batch(shared, idxs.len()) {
+                Some(item_bodies) => {
+                    shared.breakers[sent.backend].on_success();
+                    shared.counters.forwarded.fetch_add(1, Ordering::Relaxed);
+                    for (i, body) in idxs.into_iter().zip(item_bodies) {
+                        bodies[i] = Some(body);
+                    }
+                }
+                None => {
+                    shared.counters.failovers.fetch_add(1, Ordering::Relaxed);
+                    unresolved.extend(idxs);
+                }
+            }
+        }
+        subs = scatter(shared, own, items, deadline_ms, unresolved, bodies);
+    }
+}
+
+/// The body answering a fleet op: every answering backend's `stats`
+/// merged ([`StatsSnapshot::merge`]), or their `shards` concatenated and
+/// renumbered so the fleet reads as one wide striped cache; `busy` when no
+/// backend answers. A `shutdown` is acknowledged once every backend has
+/// answered or failed.
+fn gather_fleet(shared: &RouterShared, op: FleetOp, sent: &[Sent]) -> String {
+    if op == FleetOp::Shutdown {
+        for s in sent {
+            let _ = s.gather(shared, 1);
+        }
+        return shutdown_body();
+    }
+    let mut merged = StatsSnapshot::default();
+    let mut shards: Vec<ShardStat> = Vec::new();
+    let mut seen = 0usize;
+    for s in sent {
+        let Some(lines) = s.gather(shared, 1) else {
+            continue;
+        };
+        match (op, protocol::parse_response(&lines[0])) {
+            (FleetOp::Stats, Ok(Response::Stats { stats, .. })) => merged.merge(&stats),
+            (FleetOp::Shards, Ok(Response::Shards { shards: more, .. })) => shards.extend(more),
+            _ => {
+                shared.breakers[s.backend].on_failure();
+                continue;
+            }
+        }
+        shared.breakers[s.backend].on_success();
+        seen += 1;
+    }
+    if seen == 0 {
+        return shared.unrouted();
+    }
+    if op == FleetOp::Stats {
+        return stats_body(&merged);
+    }
+    for (k, s) in shards.iter_mut().enumerate() {
+        s.shard = k as u64;
+    }
+    shards_body(&shards)
 }
 
 /// Decode one sub-batch exchange: `n` item lines (`{"item":j,<body>}` —
@@ -601,226 +1028,6 @@ fn split_batch_lines(lines: &[String], n: usize) -> Result<Vec<String>, String> 
         return Err(format!("missing batch summary: {:?}", lines[n]));
     }
     Ok(out)
-}
-
-/// Scatter a batch across the fleet by key ownership and reassemble the
-/// item stream in the client's order. Failed sub-batches walk their
-/// items' failover orders (idempotent re-issue); items no backend will
-/// take come back as `busy` errors, mirroring queue overload.
-fn handle_batch(
-    shared: &RouterShared,
-    conns: &mut [Option<Client>],
-    id: Option<&str>,
-    items: &[Work],
-    deadline_ms: Option<u64>,
-) -> Vec<String> {
-    let n = items.len();
-    let keys: Vec<String> = items.iter().map(canonical_key).collect();
-    let mut bodies: Vec<Option<String>> = (0..n).map(|_| None).collect();
-    let mut unresolved: Vec<usize> = (0..n).collect();
-    while !unresolved.is_empty() {
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &i in &unresolved {
-            let target = shared
-                .ring
-                .failover_order(&keys[i])
-                .into_iter()
-                .find(|&b| shared.breakers[b].allow());
-            match target {
-                Some(b) => groups.entry(b).or_default().push(i),
-                None => {
-                    shared.counters.unrouted.fetch_add(1, Ordering::Relaxed);
-                    bodies[i] = Some(error_body(ErrorKind::Busy, "no healthy backend"));
-                }
-            }
-        }
-        if groups.is_empty() {
-            break;
-        }
-        unresolved = Vec::new();
-        for (b, idxs) in groups {
-            let works: Vec<Work> = idxs.iter().map(|&i| items[i]).collect();
-            let line = encode_batch(None, &works, deadline_ms);
-            let relayed = exchange(shared, conns, b, &line, idxs.len() + 1)
-                .map_err(|e| e.to_string())
-                .and_then(|lines| split_batch_lines(&lines, idxs.len()));
-            match relayed {
-                Ok(item_bodies) => {
-                    shared.breakers[b].on_success();
-                    shared.counters.forwarded.fetch_add(1, Ordering::Relaxed);
-                    for (j, &i) in idxs.iter().enumerate() {
-                        bodies[i] = Some(item_bodies[j].clone());
-                    }
-                }
-                Err(_) => {
-                    shared.breakers[b].on_failure();
-                    shared.counters.failovers.fetch_add(1, Ordering::Relaxed);
-                    unresolved.extend(idxs);
-                }
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(n + 1);
-    let mut errors = 0u64;
-    for (i, body) in bodies.iter().enumerate() {
-        let fallback = error_body(ErrorKind::Busy, "no healthy backend");
-        let body = body.as_deref().unwrap_or(&fallback);
-        if body.starts_with("\"ok\":false") {
-            errors += 1;
-        }
-        out.push(finish_item_response(id, i, body));
-    }
-    out.push(finish_response(id, &batch_summary_body(n as u64, errors)));
-    out
-}
-
-/// Merge every healthy backend's `stats` snapshot into one fleet view.
-fn handle_stats(
-    shared: &RouterShared,
-    conns: &mut [Option<Client>],
-    id: Option<&str>,
-) -> Vec<String> {
-    let mut merged = StatsSnapshot::default();
-    let mut seen = 0usize;
-    for b in 0..shared.backends.len() {
-        if !shared.breakers[b].allow() {
-            continue;
-        }
-        let parsed = exchange(shared, conns, b, &encode_simple("stats", None), 1)
-            .ok()
-            .and_then(|lines| protocol::parse_response(&lines[0]).ok());
-        match parsed {
-            Some(Response::Stats { stats, .. }) => {
-                shared.breakers[b].on_success();
-                merged.merge(&stats);
-                seen += 1;
-            }
-            _ => shared.breakers[b].on_failure(),
-        }
-    }
-    if seen == 0 {
-        shared.counters.unrouted.fetch_add(1, Ordering::Relaxed);
-        return vec![finish_response(
-            id,
-            &error_body(ErrorKind::Busy, "no healthy backend"),
-        )];
-    }
-    vec![finish_response(id, &stats_body(&merged))]
-}
-
-/// Concatenate every healthy backend's per-shard counters, renumbering
-/// shard ids so the fleet reads as one wide striped cache.
-fn handle_shards(
-    shared: &RouterShared,
-    conns: &mut [Option<Client>],
-    id: Option<&str>,
-) -> Vec<String> {
-    let mut all: Vec<ShardStat> = Vec::new();
-    let mut seen = 0usize;
-    for b in 0..shared.backends.len() {
-        if !shared.breakers[b].allow() {
-            continue;
-        }
-        let parsed = exchange(shared, conns, b, &encode_simple("shards", None), 1)
-            .ok()
-            .and_then(|lines| protocol::parse_response(&lines[0]).ok());
-        match parsed {
-            Some(Response::Shards { shards, .. }) => {
-                shared.breakers[b].on_success();
-                all.extend(shards);
-                seen += 1;
-            }
-            _ => shared.breakers[b].on_failure(),
-        }
-    }
-    if seen == 0 {
-        shared.counters.unrouted.fetch_add(1, Ordering::Relaxed);
-        return vec![finish_response(
-            id,
-            &error_body(ErrorKind::Busy, "no healthy backend"),
-        )];
-    }
-    for (k, s) in all.iter_mut().enumerate() {
-        s.shard = k as u64;
-    }
-    vec![finish_response(id, &shards_body(&all))]
-}
-
-/// Handle one client line, returning the response lines to emit in order.
-fn handle_request(line: &str, shared: &RouterShared, conns: &mut [Option<Client>]) -> Vec<String> {
-    let req = match protocol::parse_request(line) {
-        Ok(req) => req,
-        Err(e) => {
-            shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
-            return vec![finish_response(
-                e.id.as_deref(),
-                &error_body(e.kind, &e.detail),
-            )];
-        }
-    };
-    match req {
-        Request::Ping { id } => vec![finish_response(id.as_deref(), &pong_body())],
-        Request::Stats { id } => handle_stats(shared, conns, id.as_deref()),
-        Request::Shards { id } => handle_shards(shared, conns, id.as_deref()),
-        Request::Shutdown { id } => {
-            // Broadcast to the whole fleet (breakers ignored: a draining
-            // fleet should not leave a flaky backend running), then honor
-            // it locally.
-            for b in 0..shared.backends.len() {
-                let _ = exchange(shared, conns, b, &encode_simple("shutdown", None), 1);
-            }
-            shared.request_shutdown();
-            vec![finish_response(id.as_deref(), &shutdown_body())]
-        }
-        Request::Estimate(EstimateRequest { id, work, .. }) => {
-            forward_single(shared, conns, line, id.as_deref(), &work)
-        }
-        // Keyed by the layer's *tune* key, so one backend owns a layer's
-        // search, its tune-store entry, and every `"hw":"tuned"` estimate
-        // derived from it — the affinity the plain `tune` op gets.
-        Request::TunedEstimate {
-            id, shape, target, ..
-        } => forward_single(
-            shared,
-            conns,
-            line,
-            id.as_deref(),
-            &Work::Tune { shape, target },
-        ),
-        Request::Batch {
-            id,
-            items,
-            deadline_ms,
-        } => {
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                let body = error_body(ErrorKind::ShuttingDown, "router is draining");
-                return batch_refusal(id.as_deref(), items.len(), &body);
-            }
-            handle_batch(shared, conns, id.as_deref(), &items, deadline_ms)
-        }
-    }
-}
-
-/// Forward a single estimate line verbatim to the backend that owns
-/// `route`'s canonical key (or the next healthy one on its failover
-/// order). Draining routers and an all-unhealthy fleet answer with typed
-/// errors.
-fn forward_single(
-    shared: &RouterShared,
-    conns: &mut [Option<Client>],
-    line: &str,
-    id: Option<&str>,
-    route: &Work,
-) -> Vec<String> {
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        return vec![finish_response(
-            id,
-            &error_body(ErrorKind::ShuttingDown, "router is draining"),
-        )];
-    }
-    let response = forward_raw(shared, conns, &canonical_key(route), line)
-        .unwrap_or_else(|| finish_response(id, &error_body(ErrorKind::Busy, "no healthy backend")));
-    vec![response]
 }
 
 #[cfg(test)]

@@ -3,8 +3,12 @@
 //!
 //! # Threading model
 //!
-//! * One acceptor thread polls a non-blocking listener so shutdown never
-//!   hangs in `accept`.
+//! * One acceptor thread blocks in `accept`, so a new connection starts
+//!   at once. [`ServerHandle::shutdown`] wakes it with a connection of its
+//!   own, which it drops instead of starting; a real accept error (say,
+//!   out of file descriptors) backs off for 5 ms. Each connection is
+//!   registered under an id and leaves the registry when its threads end,
+//!   so a long-running server holds descriptors only for live connections.
 //! * Each connection gets a **reader** thread (parses request lines and
 //!   runs admission: cache hits are answered inline, misses go to the
 //!   shared [`WorkerPool`]) and a **writer** thread (reassembles responses
@@ -76,14 +80,15 @@
 //! and per simulation dispatched (`panic`, `deadline`). Every seam is a
 //! single `Option` branch when unarmed — the production path pays nothing.
 //! Injected socket faults shut the stream down `Both` ways explicitly
-//! because `shared.conns` holds a dup'd handle that would otherwise keep
-//! the FD open; injected panics are raised *inside* the dispatch
-//! `catch_unwind` so the client always receives a typed `worker-crashed`
-//! response instead of a hole in the writer's sequence space.
+//! because the connection registry holds a dup'd handle that would
+//! otherwise keep the FD open while the connection lives; injected panics
+//! are raised *inside* the dispatch `catch_unwind` so the client always
+//! receives a typed `worker-crashed` response instead of a hole in the
+//! writer's sequence space.
 
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind as IoErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -243,9 +248,7 @@ struct Shared {
     /// Set by the `shutdown` op; `wait_shutdown_requested` blocks on it.
     shutdown_requested: Mutex<bool>,
     shutdown_cv: Condvar,
-    /// Read-half clones of live connections, shut down to unblock readers.
-    conns: Mutex<Vec<TcpStream>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    conns: Arc<Connections>,
 }
 
 impl Shared {
@@ -404,6 +407,7 @@ impl ServerHandle {
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.shared.request_shutdown();
         if let Some(h) = self.acceptor.take() {
+            wake_acceptor(self.addr);
             let _ = h.join();
         }
         // Drain the pool: queued jobs run to completion and push their
@@ -414,16 +418,7 @@ impl ServerHandle {
         self.shared.pool.shutdown();
         // Unblock readers parked in read(); keeps the write half intact so
         // writers can still flush drained responses.
-        for conn in self.shared.conns.lock().expect("conns poisoned").drain(..) {
-            let _ = conn.shutdown(Shutdown::Read);
-        }
-        let threads: Vec<_> = {
-            let mut guard = self.shared.conn_threads.lock().expect("threads poisoned");
-            guard.drain(..).collect()
-        };
-        for h in threads {
-            let _ = h.join();
-        }
+        self.shared.conns.close_all();
         // Persist every search this process completed (best-effort: a
         // full disk must not turn a clean drain into a crash).
         if let Some(path) = &self.shared.tune_cache_path {
@@ -443,7 +438,6 @@ impl ServerHandle {
 /// Returns the bind error if the address is unavailable.
 pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let workers = cfg.workers.max(1);
     let batch_chunk = if cfg.batch_chunk == 0 {
@@ -475,8 +469,7 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         shutdown_requested: Mutex::new(false),
         shutdown_cv: Condvar::new(),
         faults: cfg.faults,
-        conns: Mutex::new(Vec::new()),
-        conn_threads: Mutex::new(Vec::new()),
+        conns: Arc::default(),
     });
     // Warm the response cache from the loaded store: a tune for a
     // persisted key is a plain cache hit on the very first request.
@@ -492,7 +485,11 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("iconv-serve-accept".to_owned())
-            .spawn(move || accept_loop(&listener, &shared))
+            .spawn(move || {
+                accept_loop(&listener, &shared.shutting_down, "iconv-serve", |stream| {
+                    start_connection(stream, &shared)
+                });
+            })
             .expect("spawn acceptor")
     };
     Ok(ServerHandle {
@@ -502,56 +499,169 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.shutting_down.load(Ordering::SeqCst) {
-        match listener.accept() {
+/// Back-off after a real accept error, such as running out of file
+/// descriptors, before accepting again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// How long [`wake_acceptor`] waits for its connection to be taken.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Accept connections, blocking in `accept`, until `stopping` is set. The
+/// owner's shutdown sets it and then calls [`wake_acceptor`]; the waking
+/// connection, like any accepted once `stopping` is set, is dropped
+/// without being started.
+pub(crate) fn accept_loop(
+    listener: &TcpListener,
+    stopping: &AtomicBool,
+    name: &str,
+    mut start: impl FnMut(TcpStream) -> io::Result<()>,
+) {
+    loop {
+        let accepted = listener.accept();
+        if stopping.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
-                if let Err(e) = start_connection(stream, shared) {
-                    eprintln!("iconv-serve: failed to start connection: {e}");
+                if let Err(e) = start(stream) {
+                    eprintln!("{name}: failed to start connection: {e}");
                 }
             }
-            Err(e) if e.kind() == IoErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
 
-fn start_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
+/// Unblock an [`accept_loop`] listening on `addr` by connecting to it,
+/// through loopback when the listener is bound to an unspecified address.
+pub(crate) fn wake_acceptor(addr: SocketAddr) {
+    let mut to = addr;
+    if to.ip().is_unspecified() {
+        to.set_ip(match to {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&to, WAKE_TIMEOUT);
+}
+
+/// One half of a connection (its reader or its writer), run on a thread of
+/// its own.
+pub(crate) type Half = Box<dyn FnOnce() + Send>;
+
+/// A listener's live connections. Each is registered under an id with a
+/// dup of its stream and its threads, and leaves when its last thread ends.
+#[derive(Default)]
+pub(crate) struct Connections {
+    registry: Mutex<Registry>,
+}
+
+#[derive(Default)]
+struct Registry {
+    next_id: u64,
+    live: BTreeMap<u64, LiveConn>,
+}
+
+struct LiveConn {
+    /// Shut for reading by [`Connections::close_all`] to unblock the reader.
+    stream: TcpStream,
+    threads: Vec<JoinHandle<()>>,
+    running: usize,
+}
+
+impl Connections {
+    fn registry(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().expect("connection registry poisoned")
+    }
+
+    /// Register `stream` and run each named half on a thread of its own. A
+    /// panic in a half is absorbed on its thread: it ends only that half,
+    /// never the acceptor, the pool or another connection. Spawn the writer
+    /// first: a reader that fails to spawn drops its sender, which ends the
+    /// writer too.
+    pub(crate) fn start(
+        self: &Arc<Self>,
+        stream: TcpStream,
+        halves: [(&str, Half); 2],
+    ) -> io::Result<()> {
+        // Held while spawning, so a half that ends at once finds its entry.
+        let mut registry = self.registry();
+        let id = registry.next_id;
+        registry.next_id += 1;
+        let mut conn = LiveConn {
+            stream,
+            threads: Vec::with_capacity(halves.len()),
+            running: 0,
+        };
+        let mut spawned = Ok(());
+        for (name, half) in halves {
+            let conns = Arc::clone(self);
+            let thread = std::thread::Builder::new()
+                .name(name.to_owned())
+                .spawn(move || {
+                    let _ = catch_unwind(AssertUnwindSafe(half));
+                    conns.end(id);
+                });
+            match thread {
+                Ok(handle) => {
+                    conn.threads.push(handle);
+                    conn.running += 1;
+                }
+                Err(e) => {
+                    spawned = Err(e);
+                    break;
+                }
+            }
+        }
+        if conn.running > 0 {
+            registry.live.insert(id, conn);
+        }
+        spawned
+    }
+
+    /// One of connection `id`'s threads is done; the last one removes the
+    /// connection, closing the registry's dup of its stream.
+    fn end(&self, id: u64) {
+        let mut registry = self.registry();
+        if let Some(conn) = registry.live.get_mut(&id) {
+            conn.running -= 1;
+            if conn.running == 0 {
+                registry.live.remove(&id);
+            }
+        }
+    }
+
+    /// Shut the read half of every live connection, which stops its reader
+    /// and leaves its writer free to send what it owes, then join every
+    /// thread.
+    pub(crate) fn close_all(&self) {
+        let live = std::mem::take(&mut self.registry().live);
+        for conn in live.values() {
+            let _ = conn.stream.shutdown(Shutdown::Read);
+        }
+        for conn in live.into_values() {
+            for handle in conn.threads {
+                let _ = handle.join();
+            }
+        }
+    }
+}
+
+fn start_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     let read_half = stream.try_clone()?;
-    shared
-        .conns
-        .lock()
-        .expect("conns poisoned")
-        .push(stream.try_clone()?);
+    let registered = stream.try_clone()?;
     let (tx, rx) = channel::<(u64, String)>();
-    // Per-connection containment: a panic inside either half is absorbed
-    // here, tearing down only this connection's threads — the acceptor,
-    // the pool, and every other connection stay up.
-    let writer = {
-        let faults = shared.faults.clone();
-        std::thread::Builder::new()
-            .name("iconv-serve-write".to_owned())
-            .spawn(move || {
-                let _ = catch_unwind(AssertUnwindSafe(|| {
-                    writer_loop(stream, &rx, faults.as_ref());
-                }));
-            })?
-    };
-    let reader = {
+    let faults = shared.faults.clone();
+    let writer: Half = Box::new(move || writer_loop(stream, &rx, faults.as_ref()));
+    let reader: Half = {
         let shared = Arc::clone(shared);
-        std::thread::Builder::new()
-            .name("iconv-serve-read".to_owned())
-            .spawn(move || {
-                let _ = catch_unwind(AssertUnwindSafe(|| reader_loop(read_half, &shared, &tx)));
-            })?
+        Box::new(move || reader_loop(read_half, &shared, &tx))
     };
-    let mut threads = shared.conn_threads.lock().expect("threads poisoned");
-    threads.push(writer);
-    threads.push(reader);
-    Ok(())
+    shared.conns.start(
+        registered,
+        [("iconv-serve-write", writer), ("iconv-serve-read", reader)],
+    )
 }
 
 /// Reassemble `(seq, line)` messages into ascending-`seq` order and write
@@ -569,8 +679,8 @@ fn writer_loop(
         // mid-stream with everything so far flushed (slow-loris); a
         // `PartialWrite` flushes a prefix of the line and drops the
         // connection; a `SockWrite` drops it cold. The explicit
-        // `Shutdown::Both` matters: `shared.conns` holds a dup'd handle
-        // that would otherwise keep the socket open and the client blocked.
+        // `Shutdown::Both` matters: the reader's handle and the registry's
+        // dup would otherwise keep the socket open and the client blocked.
         if let Some(f) = faults {
             if let Some(Injection::Delay { ms }) = f.decide(FaultSite::Delay) {
                 let _ = out.flush();
@@ -620,8 +730,8 @@ fn writer_loop(
         }
     }
     let _ = out.flush();
-    // No more lines are coming: send EOF now, since the dup'd handle in
-    // `shared.conns` keeps the socket itself open until shutdown.
+    // No more lines are coming: send EOF now, not when the registry drops
+    // its dup of the stream.
     let _ = out.get_ref().shutdown(Shutdown::Write);
 }
 
@@ -685,8 +795,8 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, tx: &Sender<(u64, String
         }
         // Fault seam: an injected read error behaves exactly like a
         // mid-request network failure — the socket is shut down both ways
-        // so the client sees the drop rather than a stall (the dup'd
-        // handle in `shared.conns` would otherwise hold it open).
+        // so the client sees the drop rather than a stall (the writer's
+        // handle and the registry's dup would otherwise hold it open).
         if let Some(f) = &shared.faults {
             if f.decide(FaultSite::SockRead).is_some() {
                 f.observe(FaultSite::SockRead);
