@@ -1598,15 +1598,6 @@ pub fn batch_summary_body(items: u64, errors: u64) -> String {
     format!("\"ok\":true,\"batch\":{{\"items\":{items},\"errors\":{errors}}}")
 }
 
-/// The whole response to a batch of `n` items refused as one unit (a
-/// draining server or router): `n` item lines carrying `body`, then a
-/// summary counting every item as an error.
-pub fn batch_refusal(id: Option<&str>, n: usize, body: &str) -> Vec<String> {
-    let mut lines: Vec<String> = (0..n).map(|i| finish_item_response(id, i, body)).collect();
-    lines.push(finish_response(id, &batch_summary_body(n as u64, n as u64)));
-    lines
-}
-
 /// Wrap a response body into one batch-item wire line: like
 /// [`finish_response`] plus the `"item":<index>` tag that names which batch
 /// item the line answers.

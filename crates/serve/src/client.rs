@@ -32,19 +32,6 @@ use crate::protocol::{
 /// `loadgen --connect-timeout` overrides it per run.
 pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Connect to `addr`, retrying every 20 ms until `timeout` elapses (a
-/// zero timeout makes one attempt).
-pub(crate) fn connect_retry(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) if Instant::now() >= deadline => return Err(e),
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
 /// One successfully-estimated batch item, in either engine's currency.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Estimate {
@@ -123,15 +110,23 @@ impl Client {
         })
     }
 
-    /// Connect, retrying until `timeout` elapses — for racing a server
-    /// that is still binding its socket (CI boots `served` in the
-    /// background and connects "immediately").
+    /// Connect, retrying every 20 ms until `timeout` elapses (a zero
+    /// timeout makes one attempt) — for racing a server that is still
+    /// binding its socket (CI boots `served` in the background and
+    /// connects "immediately").
     ///
     /// # Errors
     ///
     /// Returns the last connect error once the deadline passes.
     pub fn connect_retry(addr: &str, timeout: Duration) -> io::Result<Client> {
-        Client::from_stream(connect_retry(addr, timeout)?)
+        let deadline = Instant::now() + timeout;
+        loop {
+            match TcpStream::connect(addr) {
+                Ok(stream) => return Client::from_stream(stream),
+                Err(e) if Instant::now() >= deadline => return Err(e),
+                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            }
+        }
     }
 
     /// Queue one raw request line (no newline) without flushing — the

@@ -53,6 +53,7 @@
 pub mod cache;
 pub mod cli;
 pub mod client;
+mod conn;
 pub mod engine;
 // The wire vocabulary and codecs moved to `iconv-api` (`json` / `proto`),
 // so the server, clients, and router all share one definition; these
@@ -68,6 +69,7 @@ pub use client::{
     BatchItemResult, Client, ClientError, Estimate, RetryClient, RetryPolicy,
     DEFAULT_CONNECT_TIMEOUT,
 };
+pub use conn::MAX_OWED_LINES;
 pub use iconv_api::canonical_key;
 pub use protocol::{
     ErrorKind, EstimateRequest, GpuEstimate, GpuHwSpec, Op, Request, Response, ShardStat,

@@ -12,14 +12,11 @@
 //!
 //! # Forwarding model
 //!
-//! Each client connection is pipelined, the way `served`'s are: a
-//! **reader** thread parses each line and forwards it at once, and a
-//! **writer** thread gathers the backends' answers and writes them back in
-//! request order. The reader runs at most [`PIPELINE_DEPTH`] requests
-//! ahead, so a client that never reads stalls only its own reader. Each
-//! (client connection, backend) pair shares one backend connection: the
-//! reader sends on it and the writer reads from it, so every backend
-//! answers in send order and no sequence numbers are needed.
+//! Client connections run on the pipeline `served`'s do (the `conn`
+//! module): the reader forwards each line once it holds the line's answer
+//! credits, and the writer gathers the backends' answers in request order.
+//! Each (client connection, backend) pair shares one backend connection,
+//! so every backend answers in send order.
 //!
 //! Single estimates are forwarded **verbatim** — the backend sees the
 //! client's exact bytes (id included), so the relayed response is
@@ -35,7 +32,8 @@
 //! locally. `shutdown` is broadcast, and the router starts draining as soon
 //! as it is sent, so a later line on the same connection is refused.
 //!
-//! A failed send or gather drops that backend connection (the reader
+//! A connect is one attempt, so a dead backend fails at once. A failed
+//! connect, send or gather drops that backend connection (the reader
 //! reconnects on its next send) and counts against the backend's breaker.
 //! The writer then re-issues the lost single or sub-batch on connections of
 //! its own, where it is the only line in flight, walking the key's
@@ -69,33 +67,26 @@
 //! re-issues) interleave.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, BufWriter, ErrorKind as IoErrorKind, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, ErrorKind as IoErrorKind, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use iconv_api::{canonical_key, HashRing};
 use iconv_faults::{FaultPoint, FaultSite};
 
-use crate::client::{connect_retry, Client, RetryPolicy};
+use crate::client::{Client, RetryPolicy};
+use crate::conn::{Acceptor, Bodies, Gate, Slot, Tier};
 use crate::protocol::{
-    self, batch_refusal, batch_summary_body, encode_batch, encode_simple, error_body,
-    finish_item_response, finish_response, pong_body, shards_body, shutdown_body, stats_body,
-    ErrorKind, EstimateRequest, Request, Response, ShardStat, StatsSnapshot, Work,
-};
-use crate::server::{
-    accept_loop, line_too_long_response, read_request_line, wake_acceptor, Connections, Half,
-    RequestLine,
+    self, encode_batch, encode_simple, error_body, finish_response, pong_body, shards_body,
+    shutdown_body, stats_body, ErrorKind, EstimateRequest, Request, Response, ShardStat,
+    StatsSnapshot, Work,
 };
 
 /// Default virtual nodes per backend on the ring.
 pub const DEFAULT_VNODES: usize = 64;
-
-/// Requests a client connection's reader may run ahead of its writer.
-pub const PIPELINE_DEPTH: usize = 128;
 
 /// Router tunables.
 #[derive(Debug, Clone)]
@@ -112,7 +103,9 @@ pub struct RouterConfig {
     pub breaker_backoff: RetryPolicy,
     /// Health-probe period.
     pub health_interval: Duration,
-    /// Connect-retry budget per backend exchange.
+    /// Bound on one connect attempt to a backend (non-zero). A refused or
+    /// timed-out attempt is not retried: it counts against the backend's
+    /// breaker, and the line fails over to the next backend.
     pub connect_timeout: Duration,
     /// Armed fault plan consulted at the router↔backend seams.
     pub faults: Option<Arc<dyn FaultPoint>>,
@@ -272,24 +265,10 @@ struct RouterShared {
     counters: Counters,
     connect_timeout: Duration,
     faults: Option<Arc<dyn FaultPoint>>,
-    shutting_down: AtomicBool,
-    shutdown_requested: Mutex<bool>,
-    shutdown_cv: Condvar,
-    conns: Arc<Connections>,
+    gate: Gate,
 }
 
 impl RouterShared {
-    fn request_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
-        let mut req = self
-            .shutdown_requested
-            .lock()
-            .expect("shutdown flag poisoned");
-        *req = true;
-        drop(req);
-        self.shutdown_cv.notify_all();
-    }
-
     fn stats(&self) -> RouterStats {
         RouterStats {
             forwarded: self.counters.forwarded.load(Ordering::Relaxed),
@@ -320,16 +299,15 @@ impl RouterShared {
 /// A running router. Call [`RouterHandle::shutdown`] for graceful
 /// teardown.
 pub struct RouterHandle {
-    addr: SocketAddr,
     shared: Arc<RouterShared>,
-    acceptor: Option<JoinHandle<()>>,
-    health: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
+    health: JoinHandle<()>,
 }
 
 impl RouterHandle {
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr
     }
 
     /// Router-local counter snapshot.
@@ -345,34 +323,22 @@ impl RouterHandle {
     /// Block until some client sends the `shutdown` op (or
     /// [`RouterHandle::request_shutdown`] is called locally).
     pub fn wait_shutdown_requested(&self) {
-        let mut req = self
-            .shared
-            .shutdown_requested
-            .lock()
-            .expect("flag poisoned");
-        while !*req {
-            req = self.shared.shutdown_cv.wait(req).expect("flag poisoned");
-        }
+        self.shared.gate.wait(Duration::MAX);
     }
 
     /// Begin refusing new work, as if a `shutdown` op had arrived.
     pub fn request_shutdown(&self) {
-        self.shared.request_shutdown();
+        self.shared.gate.request_shutdown();
     }
 
     /// Graceful teardown: stop accepting, close client connections, join
     /// every thread. Backends are *not* shut down unless a client's
     /// `shutdown` op already broadcast one.
-    pub fn shutdown(mut self) -> RouterStats {
-        self.shared.request_shutdown();
-        if let Some(h) = self.acceptor.take() {
-            wake_acceptor(self.addr);
-            let _ = h.join();
-        }
-        if let Some(h) = self.health.take() {
-            let _ = h.join();
-        }
-        self.shared.conns.close_all();
+    pub fn shutdown(self) -> RouterStats {
+        self.shared.gate.request_shutdown();
+        self.acceptor.stop();
+        let _ = self.health.join();
+        self.shared.gate.close_all();
         self.shared.stats()
     }
 }
@@ -391,7 +357,6 @@ pub fn spawn_router(cfg: RouterConfig) -> io::Result<RouterHandle> {
         ));
     }
     let listener = TcpListener::bind(&cfg.listen_addr)?;
-    let addr = listener.local_addr()?;
     let vnodes = if cfg.vnodes == 0 {
         DEFAULT_VNODES
     } else {
@@ -407,22 +372,9 @@ pub fn spawn_router(cfg: RouterConfig) -> io::Result<RouterHandle> {
         counters: Counters::default(),
         connect_timeout: cfg.connect_timeout,
         faults: cfg.faults,
-        shutting_down: AtomicBool::new(false),
-        shutdown_requested: Mutex::new(false),
-        shutdown_cv: Condvar::new(),
-        conns: Arc::default(),
+        gate: Gate::default(),
     });
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("iconv-route-accept".to_owned())
-            .spawn(move || {
-                accept_loop(&listener, &shared.shutting_down, "routed", |stream| {
-                    start_connection(stream, &shared)
-                });
-            })
-            .expect("spawn acceptor")
-    };
+    let acceptor = Acceptor::spawn(listener, &shared)?;
     let health = {
         let shared = Arc::clone(&shared);
         let interval = cfg.health_interval;
@@ -432,10 +384,9 @@ pub fn spawn_router(cfg: RouterConfig) -> io::Result<RouterHandle> {
             .expect("spawn health thread")
     };
     Ok(RouterHandle {
-        addr,
         shared,
-        acceptor: Some(acceptor),
-        health: Some(health),
+        acceptor,
+        health,
     })
 }
 
@@ -445,15 +396,7 @@ pub fn spawn_router(cfg: RouterConfig) -> io::Result<RouterHandle> {
 /// breakers still inside their backoff window. The wait between rounds
 /// ends early when shutdown is requested.
 fn health_loop(shared: &RouterShared, interval: Duration) {
-    let flag = || {
-        shared
-            .shutdown_requested
-            .lock()
-            .expect("shutdown flag poisoned")
-    };
-    let mut stop = flag();
-    while !*stop {
-        drop(stop);
+    loop {
         for (b, addr) in shared.backends.iter().enumerate() {
             if !shared.breakers[b].allow() {
                 continue;
@@ -467,31 +410,10 @@ fn health_loop(shared: &RouterShared, interval: Duration) {
                 shared.breakers[b].on_failure();
             }
         }
-        stop = shared
-            .shutdown_cv
-            .wait_timeout_while(flag(), interval, |stop| !*stop)
-            .expect("shutdown flag poisoned")
-            .0;
+        if shared.gate.wait(interval) {
+            return;
+        }
     }
-}
-
-fn start_connection(stream: TcpStream, shared: &Arc<RouterShared>) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let read_half = stream.try_clone()?;
-    let registered = stream.try_clone()?;
-    let (tx, rx) = sync_channel(PIPELINE_DEPTH);
-    let writer: Half = {
-        let shared = Arc::clone(shared);
-        Box::new(move || writer_loop(stream, &shared, &rx))
-    };
-    let reader: Half = {
-        let shared = Arc::clone(shared);
-        Box::new(move || reader_loop(read_half, &shared, &tx))
-    };
-    shared.conns.start(
-        registered,
-        [("iconv-route-write", writer), ("iconv-route-read", reader)],
-    )
 }
 
 /// One connection to a backend. On the pipeline, a client connection's
@@ -507,8 +429,18 @@ struct Link {
 }
 
 impl Link {
+    /// One connect attempt to each address `addr` resolves to, each bounded
+    /// by `timeout`, so a dead backend fails at once.
     fn connect(addr: &str, timeout: Duration) -> io::Result<Arc<Self>> {
-        let out = connect_retry(addr, timeout)?;
+        let mut last = io::Error::new(IoErrorKind::InvalidInput, "no address to connect to");
+        let out = addr
+            .to_socket_addrs()?
+            .find_map(|a| {
+                TcpStream::connect_timeout(&a, timeout)
+                    .map_err(|e| last = e)
+                    .ok()
+            })
+            .ok_or(last)?;
         out.set_nodelay(true).ok();
         let input = Mutex::new(BufReader::new(out.try_clone()?));
         Ok(Arc::new(Self {
@@ -583,6 +515,17 @@ impl Sent {
         lines.ok()
     }
 
+    /// A single's body: its answer line inside `envelope` and the closing
+    /// brace. A malformed answer fails the link.
+    fn gather_single(&self, shared: &RouterShared, envelope: &str) -> Option<String> {
+        let line = self.gather(shared, 1)?.pop()?;
+        let body = unwrap_body(&line, envelope).map(str::to_owned);
+        if body.is_none() {
+            self.fail(shared);
+        }
+        body
+    }
+
     /// A sub-batch's item bodies, gathered and split; a malformed answer
     /// fails the link.
     fn gather_batch(&self, shared: &RouterShared, n: usize) -> Option<Vec<String>> {
@@ -602,10 +545,16 @@ impl Sent {
     }
 }
 
+/// A client connection's links, one per backend, made on first use. The
+/// reader sends on its own, and the writer re-issues lost lines on its
+/// own, where each is the only line in flight.
+type Links = Vec<Option<Arc<Link>>>;
+
 /// Send `line` to backend `b` on `links[b]`, connecting first when the
 /// link is missing or broken. A failure to connect or send counts against
 /// the backend's breaker.
-fn send(shared: &RouterShared, links: &mut [Option<Arc<Link>>], b: usize, line: &str) -> Sent {
+fn send(shared: &RouterShared, links: &mut Links, b: usize, line: &str) -> Sent {
+    links.resize(shared.backends.len(), None);
     let failed = Sent {
         backend: b,
         link: None,
@@ -641,138 +590,144 @@ enum FleetOp {
     Shutdown,
 }
 
-/// What the writer owes the client for one request line, and what it must
-/// gather from the backends to answer it.
+/// What the writer gathers from the backends to answer one request line.
 enum Plan {
-    /// Lines the router answers itself.
-    Local(Vec<String>),
-    /// A single estimate, forwarded verbatim to position `nth` of its key's
-    /// failover `order`.
-    Single {
-        id: Option<String>,
-        line: String,
-        order: Vec<usize>,
-        nth: usize,
-        sent: Sent,
-    },
-    /// A batch scattered by key ownership: its sub-batches, each with the
-    /// items it carries, and the bodies of items no backend would take.
-    Batch {
-        id: Option<String>,
-        items: Vec<Work>,
-        deadline_ms: Option<u64>,
-        bodies: Vec<Option<String>>,
-        subs: Vec<(Sent, Vec<usize>)>,
-    },
+    Single(Single),
+    Batch(Batch),
     /// `stats`, `shards` or `shutdown`, sent to several backends.
-    Fleet {
-        op: FleetOp,
-        id: Option<String>,
-        sent: Vec<Sent>,
-    },
+    Fleet(FleetOp, Vec<Sent>),
 }
 
-/// The reader half of a client connection: parse each line, send what it
-/// needs to the backends at once, and queue its plan for the writer. A
-/// full queue stalls only this reader.
-fn reader_loop(stream: TcpStream, shared: &RouterShared, plans: &SyncSender<Plan>) {
-    let mut reader = BufReader::new(stream);
-    let mut links: Vec<Option<Arc<Link>>> = vec![None; shared.backends.len()];
-    let mut buf = Vec::new();
-    loop {
-        let plan = match read_request_line(&mut reader, &mut buf) {
-            RequestLine::Line(line) if line.trim().is_empty() => continue,
-            RequestLine::Line(line) => plan(line.trim_end(), shared, &mut links),
-            RequestLine::TooLong => {
-                shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = plans.send(Plan::Local(vec![line_too_long_response()]));
-                return;
-            }
-            RequestLine::Closed => return,
-        };
-        if plans.send(plan).is_err() {
-            return;
-        }
+/// A single estimate, forwarded verbatim to position `nth` of its key's
+/// failover `order`. Its answer line is the body inside `envelope` (the
+/// opening brace and the echoed id) and the closing brace.
+struct Single {
+    envelope: String,
+    line: String,
+    order: Vec<usize>,
+    nth: usize,
+    sent: Sent,
+}
+
+/// A batch scattered by key ownership: its sub-batches, each with the
+/// items it carries, and the bodies of items no backend would take.
+struct Batch {
+    items: Vec<Work>,
+    deadline_ms: Option<u64>,
+    bodies: Vec<Option<String>>,
+    subs: Vec<(Sent, Vec<usize>)>,
+}
+
+/// A slot's bodies still on the backends: the plan until the writer
+/// gathers it, then the gathered bodies.
+struct Gather(Option<Plan>, std::vec::IntoIter<String>);
+
+/// A slot whose bodies the writer gathers by `plan`.
+fn gather_slot(id: Option<String>, batch: Option<usize>, plan: Plan) -> Slot<RouterShared> {
+    let bodies = Bodies::Pending(Gather(Some(plan), Vec::new().into_iter()));
+    Slot { id, batch, bodies }
+}
+
+impl Tier for RouterShared {
+    const NAME: &'static str = "iconv-route";
+    type Body = String;
+    type Pending = Gather;
+    type Reader = Links;
+    type Writer = Links;
+
+    fn gate(&self) -> &Gate {
+        &self.gate
     }
-}
 
-/// Parse one client line and send whatever it needs to the backends.
-fn plan(line: &str, shared: &RouterShared, links: &mut [Option<Arc<Link>>]) -> Plan {
-    let req = match protocol::parse_request(line) {
-        Ok(req) => req,
-        Err(e) => {
-            shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
-            let body = error_body(e.kind, &e.detail);
-            return Plan::Local(vec![finish_response(e.id.as_deref(), &body)]);
-        }
-    };
-    let draining = shared.shutting_down.load(Ordering::SeqCst);
-    let refusal = || error_body(ErrorKind::ShuttingDown, "router is draining");
-    let (id, route) = match req {
-        Request::Ping { id } => {
-            return Plan::Local(vec![finish_response(id.as_deref(), &pong_body())])
-        }
-        Request::Stats { id } => return fan_out(shared, links, FleetOp::Stats, id),
-        Request::Shards { id } => return fan_out(shared, links, FleetOp::Shards, id),
-        Request::Shutdown { id } => {
-            let plan = fan_out(shared, links, FleetOp::Shutdown, id);
-            // Draining from here: a later line on this connection is
-            // refused even before the backends have answered.
-            shared.request_shutdown();
-            return plan;
-        }
-        Request::Estimate(EstimateRequest { id, work, .. }) => (id, work),
-        // Keyed by the layer's *tune* key, so one backend owns a layer's
-        // search, its tune-store entry, and every `"hw":"tuned"` estimate
-        // derived from it — the affinity the plain `tune` op gets.
-        Request::TunedEstimate {
-            id, shape, target, ..
-        } => (id, Work::Tune { shape, target }),
-        Request::Batch {
-            id,
-            items,
-            deadline_ms,
-        } => {
-            if draining {
-                return Plan::Local(batch_refusal(id.as_deref(), items.len(), &refusal()));
+    fn parse_error(&self) {
+        self.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Answer `ping` locally, and send whatever else the request needs to
+    /// the backends at once.
+    fn admit(
+        self: &Arc<Self>,
+        req: Request,
+        line: &str,
+        _: Instant,
+        links: &mut Self::Reader,
+    ) -> Slot<Self> {
+        let draining = self.gate.draining();
+        let refusal = || error_body(ErrorKind::ShuttingDown, "router is draining");
+        let (id, route) = match req {
+            Request::Ping { id } => return Slot::one(id, pong_body()),
+            Request::Stats { id } => return fan_out(self, links, FleetOp::Stats, id),
+            Request::Shards { id } => return fan_out(self, links, FleetOp::Shards, id),
+            Request::Shutdown { id } => {
+                let slot = fan_out(self, links, FleetOp::Shutdown, id);
+                // Draining from here: a later line on this connection is
+                // refused even before the backends have answered.
+                self.gate.request_shutdown();
+                return slot;
             }
-            let mut bodies = vec![None; items.len()];
-            let subs = scatter(
-                shared,
-                links,
-                &items,
-                deadline_ms,
-                0..items.len(),
-                &mut bodies,
-            );
-            return Plan::Batch {
+            Request::Estimate(EstimateRequest { id, work, .. }) => (id, work),
+            // Keyed by the layer's *tune* key, so one backend owns a layer's
+            // search, its tune-store entry, and every `"hw":"tuned"` estimate
+            // derived from it — the affinity the plain `tune` op gets.
+            Request::TunedEstimate {
+                id, shape, target, ..
+            } => (id, Work::Tune { shape, target }),
+            Request::Batch {
                 id,
                 items,
                 deadline_ms,
-                bodies,
-                subs,
-            };
+            } => {
+                let n = items.len();
+                if draining {
+                    return Slot::ready(id, Some(n), vec![refusal(); n]);
+                }
+                let mut bodies = vec![None; n];
+                let subs = scatter(self, links, &items, deadline_ms, 0..n, &mut bodies);
+                let plan = Plan::Batch(Batch {
+                    items,
+                    deadline_ms,
+                    bodies,
+                    subs,
+                });
+                return gather_slot(id, Some(n), plan);
+            }
+        };
+        if draining {
+            return Slot::one(id, refusal());
         }
-    };
-    // A single estimate goes verbatim to the first backend on its key's
-    // failover order whose breaker admits it.
-    let body = if draining {
-        refusal()
-    } else {
-        let order = shared.ring.failover_order(&canonical_key(&route));
-        if let Some(nth) = order.iter().position(|&b| shared.breakers[b].allow()) {
-            let sent = send(shared, links, order[nth], line);
-            return Plan::Single {
-                id,
-                line: line.to_owned(),
-                order,
-                nth,
-                sent,
-            };
+        // A single estimate goes verbatim to the first backend on its key's
+        // failover order whose breaker admits it.
+        let order = self.ring.failover_order(&canonical_key(&route));
+        let Some(nth) = order.iter().position(|&b| self.breakers[b].allow()) else {
+            return Slot::one(id, self.unrouted());
+        };
+        let sent = send(self, links, order[nth], line);
+        let mut envelope = finish_response(id.as_deref(), "");
+        envelope.pop();
+        let plan = Plan::Single(Single {
+            envelope,
+            line: line.to_owned(),
+            order,
+            nth,
+            sent,
+        });
+        gather_slot(id, None, plan)
+    }
+
+    /// Gather the plan's bodies from the backends when the writer waits for
+    /// them; a gather always blocks, so the writer flushes before it.
+    fn body(&self, g: &mut Gather, _: usize, wait: bool, own: &mut Links) -> Option<String> {
+        g.1 = match g.0.take_if(|_| wait) {
+            None => return g.1.next(),
+            Some(Plan::Single(single)) => {
+                vec![single.relay(self, own).unwrap_or_else(|| self.unrouted())]
+            }
+            Some(Plan::Batch(batch)) => batch.relay(self, own),
+            Some(Plan::Fleet(op, sent)) => vec![gather_fleet(self, op, &sent)],
         }
-        shared.unrouted()
-    };
-    Plan::Local(vec![finish_response(id.as_deref(), &body)])
+        .into_iter();
+        g.1.next()
+    }
 }
 
 /// Send a fleet op to every backend whose breaker admits it; a `shutdown`
@@ -780,10 +735,10 @@ fn plan(line: &str, shared: &RouterShared, links: &mut [Option<Arc<Link>>]) -> P
 /// backend running.
 fn fan_out(
     shared: &RouterShared,
-    links: &mut [Option<Arc<Link>>],
+    links: &mut Links,
     op: FleetOp,
     id: Option<String>,
-) -> Plan {
+) -> Slot<RouterShared> {
     let line = encode_simple(
         match op {
             FleetOp::Stats => "stats",
@@ -796,7 +751,7 @@ fn fan_out(
         .filter(|&b| op == FleetOp::Shutdown || shared.breakers[b].allow())
         .map(|b| send(shared, links, b, &line))
         .collect();
-    Plan::Fleet { op, id, sent }
+    gather_slot(id, None, Plan::Fleet(op, sent))
 }
 
 /// Group the items `idxs` by the first backend on each key's failover
@@ -805,7 +760,7 @@ fn fan_out(
 /// in `bodies`, mirroring queue overload.
 fn scatter(
     shared: &RouterShared,
-    links: &mut [Option<Arc<Link>>],
+    links: &mut Links,
     items: &[Work],
     deadline_ms: Option<u64>,
     idxs: impl IntoIterator<Item = usize>,
@@ -833,135 +788,66 @@ fn scatter(
         .collect()
 }
 
-/// The writer half of a client connection: answer each plan in request
-/// order, gathering from the backends. Each answer is flushed at once,
-/// since gathering the next plan's may block on a backend. A line the
-/// pipeline loses is re-issued on `own`, the writer's links, where it is
-/// the only line in flight.
-fn writer_loop(stream: TcpStream, shared: &RouterShared, plans: &Receiver<Plan>) {
-    let mut out = BufWriter::new(stream);
-    let mut own: Vec<Option<Arc<Link>>> = vec![None; shared.backends.len()];
-    while let Ok(plan) = plans.recv() {
-        for line in answer(plan, shared, &mut own) {
-            if out.write_all(line.as_bytes()).is_err() || out.write_all(b"\n").is_err() {
-                return;
-            }
-        }
-        if out.flush().is_err() {
-            return;
-        }
-    }
-    // The reader has stopped and every owed line is written: send EOF now,
-    // not when the registry drops its dup of the stream.
-    let _ = out.get_ref().shutdown(Shutdown::Write);
-}
-
-/// Gather one plan's answers and render its response lines.
-fn answer(plan: Plan, shared: &RouterShared, own: &mut [Option<Arc<Link>>]) -> Vec<String> {
-    match plan {
-        Plan::Local(lines) => lines,
-        Plan::Single {
-            id,
-            line,
-            order,
-            nth,
-            sent,
-        } => {
-            let relayed = relay_single(shared, own, &order, nth, sent, &line);
-            vec![relayed.unwrap_or_else(|| finish_response(id.as_deref(), &shared.unrouted()))]
-        }
-        Plan::Batch {
-            id,
-            items,
-            deadline_ms,
-            mut bodies,
-            subs,
-        } => {
-            relay_batch(shared, own, &items, deadline_ms, &mut bodies, subs);
-            let id = id.as_deref();
-            let mut errors = 0u64;
-            let mut lines: Vec<String> = bodies
-                .iter()
-                .enumerate()
-                .map(|(i, body)| {
-                    let body = body.as_deref().expect("every item answered");
-                    if body.starts_with("\"ok\":false") {
-                        errors += 1;
-                    }
-                    finish_item_response(id, i, body)
-                })
-                .collect();
-            let summary = batch_summary_body(bodies.len() as u64, errors);
-            lines.push(finish_response(id, &summary));
-            lines
-        }
-        Plan::Fleet { op, id, sent } => vec![finish_response(
-            id.as_deref(),
-            &gather_fleet(shared, op, &sent),
-        )],
-    }
-}
-
-/// Relay a single's answer from position `nth` of its failover `order`,
-/// where `sent` went. If that fails, walk the rest of the order in
-/// lockstep on the writer's own links. `None` when no backend answers.
-fn relay_single(
-    shared: &RouterShared,
-    own: &mut [Option<Arc<Link>>],
-    order: &[usize],
-    nth: usize,
-    sent: Sent,
-    line: &str,
-) -> Option<String> {
-    let mut pending = Some(sent);
-    for (pos, &b) in order.iter().enumerate().skip(nth) {
-        let sent = match pending.take() {
-            Some(sent) => sent,
-            None if shared.breakers[b].allow() => send(shared, own, b, line),
-            None => continue,
-        };
-        if let Some(mut lines) = sent.gather(shared, 1) {
-            shared.breakers[b].on_success();
-            shared.counters.forwarded.fetch_add(1, Ordering::Relaxed);
-            if pos > 0 {
-                shared.counters.failovers.fetch_add(1, Ordering::Relaxed);
-            }
-            return lines.pop();
-        }
-    }
-    None
-}
-
-/// Gather every sub-batch into `bodies`. Items of a failed sub-batch are
-/// scattered again on the writer's own links, walking their keys'
-/// failover orders (estimates are idempotent under canonical keys), until
-/// every item has a body.
-fn relay_batch(
-    shared: &RouterShared,
-    own: &mut [Option<Arc<Link>>],
-    items: &[Work],
-    deadline_ms: Option<u64>,
-    bodies: &mut [Option<String>],
-    mut subs: Vec<(Sent, Vec<usize>)>,
-) {
-    while !subs.is_empty() {
-        let mut unresolved = Vec::new();
-        for (sent, idxs) in subs {
-            match sent.gather_batch(shared, idxs.len()) {
-                Some(item_bodies) => {
-                    shared.breakers[sent.backend].on_success();
-                    shared.counters.forwarded.fetch_add(1, Ordering::Relaxed);
-                    for (i, body) in idxs.into_iter().zip(item_bodies) {
-                        bodies[i] = Some(body);
-                    }
-                }
-                None => {
+impl Single {
+    /// Relay the body from position `nth` of the failover order, where
+    /// `sent` went. If that fails, walk the rest of the order in lockstep on
+    /// the writer's own links. `None` when no backend answers.
+    fn relay(self, shared: &RouterShared, own: &mut Links) -> Option<String> {
+        let mut pending = Some(self.sent);
+        for (pos, &b) in self.order.iter().enumerate().skip(self.nth) {
+            let sent = match pending.take() {
+                Some(sent) => sent,
+                None if shared.breakers[b].allow() => send(shared, own, b, &self.line),
+                None => continue,
+            };
+            if let Some(body) = sent.gather_single(shared, &self.envelope) {
+                shared.breakers[b].on_success();
+                shared.counters.forwarded.fetch_add(1, Ordering::Relaxed);
+                if pos > 0 {
                     shared.counters.failovers.fetch_add(1, Ordering::Relaxed);
-                    unresolved.extend(idxs);
                 }
+                return Some(body);
             }
         }
-        subs = scatter(shared, own, items, deadline_ms, unresolved, bodies);
+        None
+    }
+}
+
+impl Batch {
+    /// Gather every sub-batch's bodies. Items of a failed sub-batch are
+    /// scattered again on the writer's own links, walking their keys'
+    /// failover orders (estimates are idempotent under canonical keys),
+    /// until every item has a body.
+    fn relay(mut self, shared: &RouterShared, own: &mut Links) -> Vec<String> {
+        while !self.subs.is_empty() {
+            let mut unresolved = Vec::new();
+            for (sent, idxs) in std::mem::take(&mut self.subs) {
+                match sent.gather_batch(shared, idxs.len()) {
+                    Some(item_bodies) => {
+                        shared.breakers[sent.backend].on_success();
+                        shared.counters.forwarded.fetch_add(1, Ordering::Relaxed);
+                        for (i, body) in idxs.into_iter().zip(item_bodies) {
+                            self.bodies[i] = Some(body);
+                        }
+                    }
+                    None => {
+                        shared.counters.failovers.fetch_add(1, Ordering::Relaxed);
+                        unresolved.extend(idxs);
+                    }
+                }
+            }
+            let (items, deadline_ms) = (&self.items, self.deadline_ms);
+            self.subs = scatter(
+                shared,
+                own,
+                items,
+                deadline_ms,
+                unresolved,
+                &mut self.bodies,
+            );
+        }
+        let answered = self.bodies.into_iter();
+        answered.map(|b| b.expect("every item answered")).collect()
     }
 }
 
@@ -1017,10 +903,7 @@ fn split_batch_lines(lines: &[String], n: usize) -> Result<Vec<String>, String> 
     }
     let mut out = Vec::with_capacity(n);
     for (j, line) in lines[..n].iter().enumerate() {
-        let prefix = format!("{{\"item\":{j},");
-        let body = line
-            .strip_prefix(prefix.as_str())
-            .and_then(|rest| rest.strip_suffix('}'))
+        let body = unwrap_body(line, &format!("{{\"item\":{j},"))
             .ok_or_else(|| format!("malformed batch item line: {line:?}"))?;
         out.push(body.to_owned());
     }
@@ -1028,6 +911,12 @@ fn split_batch_lines(lines: &[String], n: usize) -> Result<Vec<String>, String> 
         return Err(format!("missing batch summary: {:?}", lines[n]));
     }
     Ok(out)
+}
+
+/// The body inside an answer line: what follows `prefix`, without the
+/// closing brace.
+fn unwrap_body<'a>(line: &'a str, prefix: &str) -> Option<&'a str> {
+    line.strip_prefix(prefix)?.strip_suffix('}')
 }
 
 #[cfg(test)]

@@ -1,22 +1,9 @@
-//! The TCP server: accept loop, per-connection reader/writer threads, the
-//! shared report cache, and the worker-pool dispatch path.
-//!
-//! # Threading model
-//!
-//! * One acceptor thread blocks in `accept`, so a new connection starts
-//!   at once. [`ServerHandle::shutdown`] wakes it with a connection of its
-//!   own, which it drops instead of starting; a real accept error (say,
-//!   out of file descriptors) backs off for 5 ms. Each connection is
-//!   registered under an id and leaves the registry when its threads end,
-//!   so a long-running server holds descriptors only for live connections.
-//! * Each connection gets a **reader** thread (parses request lines and
-//!   runs admission: cache hits are answered inline, misses go to the
-//!   shared [`WorkerPool`]) and a **writer** thread (reassembles responses
-//!   into request order by sequence number, so pipelined clients always
-//!   read answers in the order they asked).
-//! * The pool is the only place simulations run; its bounded queue is the
-//!   overload valve — a full queue turns into an immediate `busy` error,
-//!   never a blocked reader.
+//! The TCP server: the shared report cache and the worker-pool dispatch
+//! path, behind the connection pipeline `served` and `routed` share (the
+//! `conn` module). Each connection's reader runs admission: cache hits are
+//! answered inline, misses go to the shared [`WorkerPool`]. The pool is the
+//! only place simulations run; its bounded queue is the overload valve — a
+//! full queue turns into an immediate `busy` error, never a blocked reader.
 //!
 //! # Cache, striping, and single-flight
 //!
@@ -51,12 +38,9 @@
 //! # One request pipeline
 //!
 //! A single `conv`/`gemm`/`tune`, a `"hw":"tuned"` conv and a `batch` all
-//! become one `Run`: an item list plus a framing. A batch occupies a
-//! *span* of sequence numbers — item `i` of an `n`-item batch answers at
-//! `seq + i` and the summary at `seq + n` — so the writer's ordinary seq
-//! reassembly streams items back in item order. A single is a batch of
-//! one framed as a plain response line at `seq`: no item tag, no summary,
-//! batch counters untouched.
+//! become one `Run`: an item list whose bodies are settled in any order and
+//! written in item order. A single is a batch of one that only the writer
+//! frames apart (no item tag, no summary); its batch counters stay put.
 //!
 //! Admission runs on the reader: drain refusal, canonical key, inline
 //! cache hit (no worker slot), intra-request dedup (the first item is the
@@ -83,31 +67,28 @@
 //! because the connection registry holds a dup'd handle that would
 //! otherwise keep the FD open while the connection lives; injected panics
 //! are raised *inside* the dispatch `catch_unwind` so the client always
-//! receives a typed `worker-crashed` response instead of a hole in the
-//! writer's sequence space.
+//! receives a typed `worker-crashed` response instead of an item its writer
+//! waits for forever.
 
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::collections::{BTreeMap, VecDeque};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use iconv_faults::{FaultPoint, FaultSite, Injection};
+use iconv_faults::{FaultPoint, FaultSite};
 use iconv_par::{Job, PoolBusy, WorkerPool};
 use iconv_trace::TraceSink;
 
 use iconv_api::canonical_key;
 
 use crate::cache::{Admission, Body, FlightOutcome, StripedCache};
+use crate::conn::{Acceptor, Bodies, Gate, Slot, Tier};
 use crate::engine;
 use crate::protocol::{
-    self, batch_refusal, batch_summary_body, error_body, finish_item_response, finish_response,
-    pong_body, shards_body, shutdown_body, stats_body, ErrorKind, LatencyHist, Request,
-    StatsSnapshot, TuneEstimate, Work, MAX_LINE_BYTES,
+    self, error_body, finish_response, pong_body, shards_body, shutdown_body, stats_body,
+    ErrorKind, LatencyHist, Request, StatsSnapshot, TuneEstimate, Work,
 };
 
 /// Server tunables.
@@ -244,25 +225,10 @@ struct Shared {
     tune_store: Mutex<iconv_tune::TuneCache>,
     /// Where to save the tune store on graceful shutdown.
     tune_cache_path: Option<std::path::PathBuf>,
-    shutting_down: AtomicBool,
-    /// Set by the `shutdown` op; `wait_shutdown_requested` blocks on it.
-    shutdown_requested: Mutex<bool>,
-    shutdown_cv: Condvar,
-    conns: Arc<Connections>,
+    gate: Gate,
 }
 
 impl Shared {
-    fn request_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
-        let mut req = self
-            .shutdown_requested
-            .lock()
-            .expect("shutdown flag poisoned");
-        *req = true;
-        drop(req);
-        self.shutdown_cv.notify_all();
-    }
-
     fn snapshot(&self) -> StatsSnapshot {
         let c = &self.counters;
         let (queue_depth, in_flight) =
@@ -350,15 +316,14 @@ impl Shared {
 /// [`ServerHandle::shutdown`] aborts the process-local threads abruptly;
 /// call `shutdown` for the graceful drain.
 pub struct ServerHandle {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl ServerHandle {
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr
     }
 
     /// Current counter snapshot (same numbers as the `stats` RPC).
@@ -386,39 +351,28 @@ impl ServerHandle {
     /// Block until some client sends the `shutdown` op (or
     /// [`ServerHandle::request_shutdown`] is called locally).
     pub fn wait_shutdown_requested(&self) {
-        let mut req = self
-            .shared
-            .shutdown_requested
-            .lock()
-            .expect("flag poisoned");
-        while !*req {
-            req = self.shared.shutdown_cv.wait(req).expect("flag poisoned");
-        }
+        self.shared.gate.wait(Duration::MAX);
     }
 
     /// Begin refusing new work, as if a `shutdown` op had arrived.
     pub fn request_shutdown(&self) {
-        self.shared.request_shutdown();
+        self.shared.gate.request_shutdown();
     }
 
     /// Graceful teardown: stop accepting connections, drain queued and
-    /// in-flight simulations, deliver their responses, then close
-    /// connections and join every thread.
-    pub fn shutdown(mut self) -> StatsSnapshot {
-        self.shared.request_shutdown();
-        if let Some(h) = self.acceptor.take() {
-            wake_acceptor(self.addr);
-            let _ = h.join();
-        }
-        // Drain the pool: queued jobs run to completion and push their
-        // responses into the writers before this returns. The pool's
+    /// in-flight simulations, deliver their responses (cutting off, after a
+    /// second, a client that does not read them), and join every thread.
+    pub fn shutdown(self) -> StatsSnapshot {
+        self.shared.gate.request_shutdown();
+        self.acceptor.stop();
+        // Drain the pool: queued jobs run to completion and settle their
+        // items' bodies for the writers before this returns. The pool's
         // `shutdown` takes `&self`, so batch runners resubmitting their
         // continuations race against it without any outer lock to deadlock
         // on — a refused continuation just keeps draining inline.
         self.shared.pool.shutdown();
-        // Unblock readers parked in read(); keeps the write half intact so
-        // writers can still flush drained responses.
-        self.shared.conns.close_all();
+        // Stop every reader; writers get a bounded time to send what they owe.
+        self.shared.gate.close_all();
         // Persist every search this process completed (best-effort: a
         // full disk must not turn a clean drain into a crash).
         if let Some(path) = &self.shared.tune_cache_path {
@@ -438,7 +392,6 @@ impl ServerHandle {
 /// Returns the bind error if the address is unavailable.
 pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
-    let addr = listener.local_addr()?;
     let workers = cfg.workers.max(1);
     let batch_chunk = if cfg.batch_chunk == 0 {
         workers
@@ -465,11 +418,8 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         batch_chunk,
         tune_store: Mutex::new(tune_store),
         tune_cache_path: cfg.tune_cache_path,
-        shutting_down: AtomicBool::new(false),
-        shutdown_requested: Mutex::new(false),
-        shutdown_cv: Condvar::new(),
         faults: cfg.faults,
-        conns: Arc::default(),
+        gate: Gate::default(),
     });
     // Warm the response cache from the loaded store: a tune for a
     // persisted key is a plain cache hit on the very first request.
@@ -481,334 +431,8 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
                 .insert(tune_key.to_owned(), Body::from(protocol::tune_body(est)));
         }
     }
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("iconv-serve-accept".to_owned())
-            .spawn(move || {
-                accept_loop(&listener, &shared.shutting_down, "iconv-serve", |stream| {
-                    start_connection(stream, &shared)
-                });
-            })
-            .expect("spawn acceptor")
-    };
-    Ok(ServerHandle {
-        addr,
-        shared,
-        acceptor: Some(acceptor),
-    })
-}
-
-/// Back-off after a real accept error, such as running out of file
-/// descriptors, before accepting again.
-const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
-
-/// How long [`wake_acceptor`] waits for its connection to be taken.
-const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
-
-/// Accept connections, blocking in `accept`, until `stopping` is set. The
-/// owner's shutdown sets it and then calls [`wake_acceptor`]; the waking
-/// connection, like any accepted once `stopping` is set, is dropped
-/// without being started.
-pub(crate) fn accept_loop(
-    listener: &TcpListener,
-    stopping: &AtomicBool,
-    name: &str,
-    mut start: impl FnMut(TcpStream) -> io::Result<()>,
-) {
-    loop {
-        let accepted = listener.accept();
-        if stopping.load(Ordering::SeqCst) {
-            return;
-        }
-        match accepted {
-            Ok((stream, _)) => {
-                if let Err(e) = start(stream) {
-                    eprintln!("{name}: failed to start connection: {e}");
-                }
-            }
-            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
-        }
-    }
-}
-
-/// Unblock an [`accept_loop`] listening on `addr` by connecting to it,
-/// through loopback when the listener is bound to an unspecified address.
-pub(crate) fn wake_acceptor(addr: SocketAddr) {
-    let mut to = addr;
-    if to.ip().is_unspecified() {
-        to.set_ip(match to {
-            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-        });
-    }
-    let _ = TcpStream::connect_timeout(&to, WAKE_TIMEOUT);
-}
-
-/// One half of a connection (its reader or its writer), run on a thread of
-/// its own.
-pub(crate) type Half = Box<dyn FnOnce() + Send>;
-
-/// A listener's live connections. Each is registered under an id with a
-/// dup of its stream and its threads, and leaves when its last thread ends.
-#[derive(Default)]
-pub(crate) struct Connections {
-    registry: Mutex<Registry>,
-}
-
-#[derive(Default)]
-struct Registry {
-    next_id: u64,
-    live: BTreeMap<u64, LiveConn>,
-}
-
-struct LiveConn {
-    /// Shut for reading by [`Connections::close_all`] to unblock the reader.
-    stream: TcpStream,
-    threads: Vec<JoinHandle<()>>,
-    running: usize,
-}
-
-impl Connections {
-    fn registry(&self) -> MutexGuard<'_, Registry> {
-        self.registry.lock().expect("connection registry poisoned")
-    }
-
-    /// Register `stream` and run each named half on a thread of its own. A
-    /// panic in a half is absorbed on its thread: it ends only that half,
-    /// never the acceptor, the pool or another connection. Spawn the writer
-    /// first: a reader that fails to spawn drops its sender, which ends the
-    /// writer too.
-    pub(crate) fn start(
-        self: &Arc<Self>,
-        stream: TcpStream,
-        halves: [(&str, Half); 2],
-    ) -> io::Result<()> {
-        // Held while spawning, so a half that ends at once finds its entry.
-        let mut registry = self.registry();
-        let id = registry.next_id;
-        registry.next_id += 1;
-        let mut conn = LiveConn {
-            stream,
-            threads: Vec::with_capacity(halves.len()),
-            running: 0,
-        };
-        let mut spawned = Ok(());
-        for (name, half) in halves {
-            let conns = Arc::clone(self);
-            let thread = std::thread::Builder::new()
-                .name(name.to_owned())
-                .spawn(move || {
-                    let _ = catch_unwind(AssertUnwindSafe(half));
-                    conns.end(id);
-                });
-            match thread {
-                Ok(handle) => {
-                    conn.threads.push(handle);
-                    conn.running += 1;
-                }
-                Err(e) => {
-                    spawned = Err(e);
-                    break;
-                }
-            }
-        }
-        if conn.running > 0 {
-            registry.live.insert(id, conn);
-        }
-        spawned
-    }
-
-    /// One of connection `id`'s threads is done; the last one removes the
-    /// connection, closing the registry's dup of its stream.
-    fn end(&self, id: u64) {
-        let mut registry = self.registry();
-        if let Some(conn) = registry.live.get_mut(&id) {
-            conn.running -= 1;
-            if conn.running == 0 {
-                registry.live.remove(&id);
-            }
-        }
-    }
-
-    /// Shut the read half of every live connection, which stops its reader
-    /// and leaves its writer free to send what it owes, then join every
-    /// thread.
-    pub(crate) fn close_all(&self) {
-        let live = std::mem::take(&mut self.registry().live);
-        for conn in live.values() {
-            let _ = conn.stream.shutdown(Shutdown::Read);
-        }
-        for conn in live.into_values() {
-            for handle in conn.threads {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-fn start_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let read_half = stream.try_clone()?;
-    let registered = stream.try_clone()?;
-    let (tx, rx) = channel::<(u64, String)>();
-    let faults = shared.faults.clone();
-    let writer: Half = Box::new(move || writer_loop(stream, &rx, faults.as_ref()));
-    let reader: Half = {
-        let shared = Arc::clone(shared);
-        Box::new(move || reader_loop(read_half, &shared, &tx))
-    };
-    shared.conns.start(
-        registered,
-        [("iconv-serve-write", writer), ("iconv-serve-read", reader)],
-    )
-}
-
-/// Reassemble `(seq, line)` messages into ascending-`seq` order and write
-/// them out, flushing whenever the channel momentarily runs dry.
-fn writer_loop(
-    stream: TcpStream,
-    rx: &std::sync::mpsc::Receiver<(u64, String)>,
-    faults: Option<&Arc<dyn FaultPoint>>,
-) {
-    let mut out = BufWriter::new(stream);
-    let mut next_seq = 0u64;
-    let mut held: BinaryHeap<std::cmp::Reverse<(u64, String)>> = BinaryHeap::new();
-    let write = |out: &mut BufWriter<TcpStream>, line: &str| -> bool {
-        // Fault seams, consulted once per response line. A `Delay` stalls
-        // mid-stream with everything so far flushed (slow-loris); a
-        // `PartialWrite` flushes a prefix of the line and drops the
-        // connection; a `SockWrite` drops it cold. The explicit
-        // `Shutdown::Both` matters: the reader's handle and the registry's
-        // dup would otherwise keep the socket open and the client blocked.
-        if let Some(f) = faults {
-            if let Some(Injection::Delay { ms }) = f.decide(FaultSite::Delay) {
-                let _ = out.flush();
-                std::thread::sleep(Duration::from_millis(ms));
-                f.observe(FaultSite::Delay);
-            }
-            if let Some(Injection::PartialWrite { keep }) = f.decide(FaultSite::PartialWrite) {
-                let keep = keep.min(line.len());
-                let _ = out.write_all(&line.as_bytes()[..keep]);
-                let _ = out.flush();
-                let _ = out.get_ref().shutdown(Shutdown::Both);
-                f.observe(FaultSite::PartialWrite);
-                return false;
-            }
-            if f.decide(FaultSite::SockWrite).is_some() {
-                let _ = out.get_ref().shutdown(Shutdown::Both);
-                f.observe(FaultSite::SockWrite);
-                return false;
-            }
-        }
-        out.write_all(line.as_bytes()).is_ok() && out.write_all(b"\n").is_ok()
-    };
-    'recv: while let Ok(msg) = rx.recv() {
-        held.push(std::cmp::Reverse(msg));
-        // Drain everything already queued so a burst (a batch span being
-        // streamed) is written and flushed once, not per line.
-        while let Ok(more) = rx.try_recv() {
-            held.push(std::cmp::Reverse(more));
-        }
-        while let Some(std::cmp::Reverse((seq, _))) = held.peek() {
-            if *seq != next_seq {
-                break;
-            }
-            let std::cmp::Reverse((_, line)) = held.pop().expect("peeked");
-            if !write(&mut out, &line) {
-                break 'recv;
-            }
-            next_seq += 1;
-        }
-        // Nothing immediately pending: push what we have to the client.
-        let _ = out.flush();
-    }
-    // Channel closed (reader and all jobs done): drain any stragglers.
-    while let Some(std::cmp::Reverse((_, line))) = held.pop() {
-        if !write(&mut out, &line) {
-            break;
-        }
-    }
-    let _ = out.flush();
-    // No more lines are coming: send EOF now, not when the registry drops
-    // its dup of the stream.
-    let _ = out.get_ref().shutdown(Shutdown::Write);
-}
-
-/// What the next read of a request line found.
-pub(crate) enum RequestLine<'a> {
-    /// One line (trailing newline kept) of at most [`MAX_LINE_BYTES`].
-    Line(&'a str),
-    /// [`MAX_LINE_BYTES`] bytes went by without a newline.
-    TooLong,
-    /// End of stream, a socket error, or a line that is not UTF-8.
-    Closed,
-}
-
-/// Read the next request line into `buf`, which is cleared first and
-/// reused across calls. At most `MAX_LINE_BYTES + 1` bytes are read, so a
-/// client that never sends a newline costs a bounded buffer.
-pub(crate) fn read_request_line<'a>(
-    reader: &mut impl BufRead,
-    buf: &'a mut Vec<u8>,
-) -> RequestLine<'a> {
-    buf.clear();
-    match reader
-        .by_ref()
-        .take(MAX_LINE_BYTES as u64 + 1)
-        .read_until(b'\n', buf)
-    {
-        Ok(0) | Err(_) => RequestLine::Closed,
-        Ok(n) if n > MAX_LINE_BYTES && buf.last() != Some(&b'\n') => RequestLine::TooLong,
-        Ok(_) => std::str::from_utf8(buf).map_or(RequestLine::Closed, RequestLine::Line),
-    }
-}
-
-/// The one response to a request line over [`MAX_LINE_BYTES`]; the
-/// connection stops reading after it.
-pub(crate) fn line_too_long_response() -> String {
-    finish_response(
-        None,
-        &error_body(
-            ErrorKind::Parse,
-            &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-        ),
-    )
-}
-
-fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, tx: &Sender<(u64, String)>) {
-    let mut reader = BufReader::new(stream);
-    let mut seq = 0u64;
-    let mut buf = Vec::new();
-    loop {
-        let line = match read_request_line(&mut reader, &mut buf) {
-            RequestLine::Line(line) => line,
-            RequestLine::TooLong => {
-                shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send((seq, line_too_long_response()));
-                break;
-            }
-            RequestLine::Closed => break,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        // Fault seam: an injected read error behaves exactly like a
-        // mid-request network failure — the socket is shut down both ways
-        // so the client sees the drop rather than a stall (the writer's
-        // handle and the registry's dup would otherwise hold it open).
-        if let Some(f) = &shared.faults {
-            if f.decide(FaultSite::SockRead).is_some() {
-                f.observe(FaultSite::SockRead);
-                let _ = reader.get_ref().shutdown(Shutdown::Both);
-                break;
-            }
-        }
-        // A request consumes as many sequence numbers as it will emit
-        // response lines (1 for everything except `batch`, which spans
-        // n items + 1 summary).
-        seq += handle_line(line.trim_end(), seq, shared, tx);
-    }
+    let acceptor = Acceptor::spawn(listener, &shared)?;
+    Ok(ServerHandle { shared, acceptor })
 }
 
 /// One admitted unit of a request: the item line it answers and its
@@ -850,66 +474,34 @@ struct PendingSim {
     items: Vec<Item>,
 }
 
-/// A request's un-simulated work list and the runner jobs draining it.
+/// A request's un-simulated work list, the runner jobs draining it, and
+/// its item bodies: settled in any order (inline, by a runner, or by
+/// another request's flight), taken by the writer in item order.
 #[derive(Default)]
 struct WorkList {
     sims: VecDeque<PendingSim>,
     /// Runner jobs queued or running for this request.
     runners: usize,
+    bodies: Vec<Option<Body>>,
+    /// The item the writer waits for, if it waits.
+    waiting: Option<usize>,
 }
 
 /// One admitted request — a single `conv`/`gemm`/`tune`, a `"hw":"tuned"`
-/// conv, or a `batch` — and the state its items share until every owed
-/// line is sent. A single is a batch of one that differs only in framing.
+/// conv, or a `batch` — and the state its items share until every item is
+/// answered. A single is a batch of one; only the writer frames it apart.
 struct Run {
     shared: Arc<Shared>,
-    tx: Sender<(u64, String)>,
-    id: Option<String>,
     deadline: Option<Duration>,
     t0: Instant,
-    seq: u64,
-    /// `Some(n)`: a batch of `n` items — item `i` answers at `seq + i`
-    /// tagged `"item":i`, the summary goes at `seq + n`, and the
-    /// `serve.batch.*` counters move. `None`: a single — one line at
-    /// `seq` rendered by `finish_response`, no summary, batch counters
-    /// untouched.
-    batch: Option<usize>,
+    /// Only a batch moves the `serve.batch.*` counters.
+    batch: bool,
     list: Mutex<WorkList>,
-    /// Item lines still owed, **plus one sentinel unit** per admission
-    /// pass in progress: a joined flight's waiter may fire the instant it
-    /// is registered, and the sentinel keeps such early completions from
-    /// seeing the count hit zero and emitting the summary before the pass
-    /// finishes.
-    remaining: AtomicUsize,
-    /// Items answered with a typed error (the batch summary's count).
-    errors: AtomicU64,
+    /// Signalled when the item the writer waits for is answered.
+    answered: Condvar,
 }
 
 impl Run {
-    /// Refuse the whole request while draining; otherwise count a batch
-    /// and admit its items. Returns the sequence span the request
-    /// consumed (== the response lines it will emit).
-    fn start(self: &Arc<Self>, items: Vec<Item>) -> u64 {
-        if self.shared.shutting_down.load(Ordering::SeqCst) {
-            let body = error_body(ErrorKind::ShuttingDown, "server is draining");
-            let lines = match self.batch {
-                Some(n) => batch_refusal(self.id.as_deref(), n, &body),
-                None => vec![finish_response(self.id.as_deref(), &body)],
-            };
-            for (i, line) in lines.into_iter().enumerate() {
-                let _ = self.tx.send((self.seq + i as u64, line));
-            }
-        } else {
-            if let Some(n) = self.batch {
-                let c = &self.shared.counters;
-                c.batches.fetch_add(1, Ordering::Relaxed);
-                c.batch_items.fetch_add(n as u64, Ordering::Relaxed);
-            }
-            self.admit(items);
-        }
-        self.batch.map_or(1, |n| n as u64 + 1)
-    }
-
     /// Admission, the one path every item takes: the tune-store resolve
     /// step, an inline cache hit (no worker slot, deadline ignored — a
     /// hit costs microseconds), intra-request dedup, or a single-flight
@@ -917,9 +509,6 @@ impl Run {
     /// dispatched for them.
     fn admit(self: &Arc<Self>, items: Vec<Item>) {
         let cache = &self.shared.cache;
-        // One owed unit per item plus this pass's sentinel, claimed before
-        // any waiter can fire.
-        self.remaining.fetch_add(items.len() + 1, Ordering::AcqRel);
         // Led simulations stay local until the pass ends — no runner is
         // draining them, so dedup slot indices stay valid.
         let mut led: Vec<PendingSim> = Vec::new();
@@ -972,9 +561,6 @@ impl Run {
             self.list().sims.extend(led);
             self.dispatch();
         }
-        // Release the sentinel; if every item settled inline, this emits
-        // the summary.
-        self.items_done(1);
     }
 
     fn list(&self) -> MutexGuard<'_, WorkList> {
@@ -1043,8 +629,8 @@ impl Run {
     /// The runner's seams, in order: the queue deadline, the
     /// deadline-storm fault, then the engine under `catch_unwind` with the
     /// worker-panic fault raised *inside* it. Every path yields an outcome,
-    /// so every owed line is sent — a swallowed seq would wedge the
-    /// writer's reorder heap and hang the connection.
+    /// so every item is answered — a swallowed one would leave the writer
+    /// waiting for it and hang the connection.
     fn simulate(&self, work: &Work) -> FlightOutcome {
         let fire = |site| {
             self.shared.faults.as_ref().is_some_and(|f| {
@@ -1105,9 +691,7 @@ impl Run {
                     _ => 0,
                 };
                 self.count_batch(&c.batch_errors);
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.send_item(item.index, &error_body(*kind, detail));
-                self.items_done(1);
+                self.answer(item.index, Body::from(error_body(*kind, detail)));
                 return;
             }
         };
@@ -1138,7 +722,6 @@ impl Run {
                 }
                 if item.resolve {
                     self.admit(vec![item.resolved(&est)]);
-                    self.items_done(1);
                     return;
                 }
             }
@@ -1152,38 +735,37 @@ impl Run {
         }
         c.served.fetch_add(1, Ordering::Relaxed);
         c.record_latency(self.t0, shard);
-        self.send_item(item.index, body);
-        self.items_done(1);
+        self.answer(item.index, Arc::clone(body));
     }
 
     fn count_batch(&self, counter: &AtomicU64) {
-        if self.batch.is_some() {
+        if self.batch {
             counter.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    fn send_item(&self, item: usize, body: &str) {
-        let id = self.id.as_deref();
-        let line = match self.batch {
-            Some(_) => (self.seq + item as u64, finish_item_response(id, item, body)),
-            None => (self.seq, finish_response(id, body)),
-        };
-        let _ = self.tx.send(line);
+    /// Settle item `i`'s body, waking the writer if it waits for it.
+    fn answer(&self, i: usize, body: Body) {
+        let mut list = self.list();
+        list.bodies[i] = Some(body);
+        if list.waiting == Some(i) {
+            self.answered.notify_one();
+        }
     }
 
-    /// Mark `k` owed units as done; whoever clears the last one emits a
-    /// batch's summary. The totals are stable by then: every error was
-    /// added before its item was marked done.
-    fn items_done(&self, k: usize) {
-        if self.remaining.fetch_sub(k, Ordering::AcqRel) != k {
-            return;
-        }
-        if let Some(n) = self.batch {
-            let errors = self.errors.load(Ordering::Acquire);
-            let _ = self.tx.send((
-                self.seq + n as u64,
-                finish_response(self.id.as_deref(), &batch_summary_body(n as u64, errors)),
-            ));
+    /// Take item `i`'s body; one not settled yet is `None`, unless `wait`,
+    /// which blocks until it is.
+    fn body(&self, i: usize, wait: bool) -> Option<Body> {
+        let mut list = self.list();
+        loop {
+            if let Some(body) = list.bodies[i].take() {
+                return Some(body);
+            }
+            if !wait {
+                return None;
+            }
+            list.waiting = Some(i);
+            list = self.answered.wait(list).expect("work list poisoned");
         }
     }
 }
@@ -1216,100 +798,112 @@ fn run_step(run: &Arc<Run>) {
     }
 }
 
-/// Handle one request line. Returns the number of sequence numbers the
-/// request consumed (== response lines it will emit): 1 for everything
-/// except a well-formed `batch`, which consumes `items + 1`.
-fn handle_line(line: &str, seq: u64, shared: &Arc<Shared>, tx: &Sender<(u64, String)>) -> u64 {
-    let t0 = Instant::now();
-    let send = |line: String| {
-        let _ = tx.send((seq, line));
-    };
-    let req = match protocol::parse_request(line) {
-        Ok(req) => req,
-        Err(e) => {
-            shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
-            send(finish_response(
-                e.id.as_deref(),
-                &error_body(e.kind, &e.detail),
-            ));
-            return 1;
-        }
-    };
-    let (id, deadline_ms, batch, items) = match req {
-        Request::Ping { id } => {
-            send(finish_response(id.as_deref(), &pong_body()));
-            return 1;
-        }
-        Request::Stats { id } => {
-            send(finish_response(
-                id.as_deref(),
-                &stats_body(&shared.snapshot()),
-            ));
-            return 1;
-        }
-        Request::Shards { id } => {
-            let body = shards_body(&shared.cache.shard_stats());
-            send(finish_response(id.as_deref(), &body));
-            return 1;
-        }
-        Request::Shutdown { id } => {
-            send(finish_response(id.as_deref(), &shutdown_body()));
-            shared.request_shutdown();
-            return 1;
-        }
-        Request::Estimate(req) => (
-            req.id,
-            req.deadline_ms,
-            None,
-            vec![Item::answer(0, req.work)],
-        ),
-        // The resolve step runs first, under the layer's tune key; its
-        // outcome hands admission the concrete work.
-        Request::TunedEstimate {
-            id,
-            shape,
-            target,
-            deadline_ms,
-        } => {
-            let item = Item {
-                index: 0,
-                work: Work::Tune { shape, target },
-                resolve: true,
-            };
-            (id, deadline_ms, None, vec![item])
-        }
-        Request::Batch {
-            id,
-            items,
-            deadline_ms,
-        } => {
-            let n = items.len();
-            let items = items.into_iter().enumerate();
-            (
+impl Tier for Shared {
+    const NAME: &'static str = "iconv-serve";
+    type Body = Body;
+    type Pending = Arc<Run>;
+    type Reader = ();
+    type Writer = ();
+
+    fn gate(&self) -> &Gate {
+        &self.gate
+    }
+
+    fn faults(&self) -> Option<&Arc<dyn FaultPoint>> {
+        self.faults.as_ref()
+    }
+
+    fn parse_error(&self) {
+        self.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Answer the local ops at once. Refuse an estimate or a batch while
+    /// draining; otherwise count a batch and admit its items.
+    fn admit(self: &Arc<Self>, req: Request, _: &str, t0: Instant, (): &mut ()) -> Slot<Self> {
+        let (id, deadline_ms, batch, items) = match req {
+            Request::Ping { id } => return Slot::one(id, pong_body()),
+            Request::Stats { id } => return Slot::one(id, stats_body(&self.snapshot())),
+            Request::Shards { id } => {
+                return Slot::one(id, shards_body(&self.cache.shard_stats()));
+            }
+            Request::Shutdown { id } => {
+                self.gate.request_shutdown();
+                return Slot::one(id, shutdown_body());
+            }
+            Request::Estimate(req) => (
+                req.id,
+                req.deadline_ms,
+                None,
+                vec![Item::answer(0, req.work)],
+            ),
+            // The resolve step runs first, under the layer's tune key; its
+            // outcome hands admission the concrete work.
+            Request::TunedEstimate {
                 id,
+                shape,
+                target,
                 deadline_ms,
-                Some(n),
-                items.map(|(i, w)| Item::answer(i, w)).collect(),
-            )
+            } => {
+                let item = Item {
+                    index: 0,
+                    work: Work::Tune { shape, target },
+                    resolve: true,
+                };
+                (id, deadline_ms, None, vec![item])
+            }
+            Request::Batch {
+                id,
+                items,
+                deadline_ms,
+            } => {
+                let n = items.len();
+                let items = items.into_iter().enumerate();
+                (
+                    id,
+                    deadline_ms,
+                    Some(n),
+                    items.map(|(i, w)| Item::answer(i, w)).collect(),
+                )
+            }
+        };
+        if self.gate.draining() {
+            let refusal = Body::from(error_body(ErrorKind::ShuttingDown, "server is draining"));
+            return Slot::ready(id, batch, vec![refusal; items.len()]);
         }
-    };
-    let run = Arc::new(Run {
-        shared: Arc::clone(shared),
-        tx: tx.clone(),
-        id,
-        deadline: deadline_ms.map(Duration::from_millis),
-        t0,
-        seq,
-        batch,
-        list: Mutex::default(),
-        remaining: AtomicUsize::new(0),
-        errors: AtomicU64::new(0),
-    });
-    run.start(items)
+        if let Some(n) = batch {
+            let c = &self.counters;
+            c.batches.fetch_add(1, Ordering::Relaxed);
+            c.batch_items.fetch_add(n as u64, Ordering::Relaxed);
+        }
+        let run = Arc::new(Run {
+            shared: Arc::clone(self),
+            deadline: deadline_ms.map(Duration::from_millis),
+            t0,
+            batch: batch.is_some(),
+            list: Mutex::new(WorkList {
+                bodies: vec![None; items.len()],
+                ..WorkList::default()
+            }),
+            answered: Condvar::new(),
+        });
+        run.admit(items);
+        Slot {
+            id,
+            batch,
+            bodies: Bodies::Pending(run),
+        }
+    }
+
+    fn body(&self, run: &mut Arc<Run>, i: usize, wait: bool, (): &mut ()) -> Option<Body> {
+        run.body(i, wait)
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
     use super::*;
 
     /// Strict request/response lockstep: each line is answered before the

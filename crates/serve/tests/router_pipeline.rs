@@ -4,9 +4,9 @@
 //! arrived, which only a router that sends before it gathers can deliver:
 //! a batch's sub-batches are all sent before any answer is read, and a
 //! connection's next line is forwarded before the previous answer is back.
-//! Failover under pipelining, shutdown of listeners bound to an unspecified
-//! address, and a prompt shutdown under a long health interval are pinned
-//! here too.
+//! Failover under pipelining, prompt failover from a backend that refuses
+//! connections, shutdown of listeners bound to an unspecified address, and
+//! a prompt shutdown under a long health interval are pinned here too.
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
@@ -21,7 +21,7 @@ use iconv_api::table::workload_works;
 use iconv_api::HashRing;
 use iconv_serve::client::RetryPolicy;
 use iconv_serve::protocol::{
-    encode_batch, encode_estimate, finish_response, parse_request, pong_body,
+    encode_batch, encode_estimate, encode_simple, finish_response, parse_request, pong_body,
 };
 use iconv_serve::router::{spawn_router, RouterConfig, RouterHandle, DEFAULT_VNODES};
 use iconv_serve::{
@@ -393,4 +393,55 @@ fn shutdown_does_not_wait_out_the_health_interval() {
     let took = t0.elapsed();
     assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
     fake.stop();
+}
+
+#[test]
+fn a_backend_that_refuses_connections_fails_over_at_once() {
+    // A port bound and closed again: every connect to it is refused.
+    let dead = {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.local_addr().expect("dead addr").to_string()
+    };
+    let live = spawn(ServerConfig::default()).expect("spawn backend");
+    let live_addr = live.local_addr().to_string();
+    let router = spawn_router(RouterConfig {
+        backends: vec![live_addr.clone(), dead],
+        health_interval: Duration::from_secs(60),
+        ..RouterConfig::default()
+    })
+    .expect("spawn router");
+    let ring = HashRing::new(2, DEFAULT_VNODES);
+    let work = works(64)
+        .into_iter()
+        .find(|w| ring.route(&canonical_key(w)) == 1)
+        .expect("a key the dead backend owns");
+    let line = encode_estimate(&EstimateRequest {
+        id: Some("dead".to_owned()),
+        work,
+        deadline_ms: None,
+    });
+    // The healthy answer, from the backend the key fails over to; it is now
+    // cached there, so the timed answer below costs no simulation.
+    let want = pipelined(&live_addr, std::slice::from_ref(&line), 1);
+    let addr = router.local_addr().to_string();
+
+    let t0 = Instant::now();
+    let got = pipelined(&addr, &[line], 1);
+    let took = t0.elapsed();
+    assert_eq!(got, want);
+    assert!(
+        took < Duration::from_millis(100),
+        "the first line keyed to the dead backend took {took:?}"
+    );
+
+    let t0 = Instant::now();
+    let ack = pipelined(&addr, &[encode_simple("shutdown", None)], 1);
+    let took = t0.elapsed();
+    assert!(ack[0].contains(r#""shutdown":true"#), "{ack:?}");
+    assert!(
+        took < Duration::from_millis(100),
+        "a shutdown through the fleet took {took:?}"
+    );
+    router.shutdown();
+    live.shutdown();
 }
