@@ -37,8 +37,13 @@ fn fill_trace(shape: &ConvShape, layout: Layout, elem_bytes: u64) -> Vec<Request
     coalesced
 }
 
-/// Run the ablation.
 /// Render the experiment's full report.
+///
+/// # Panics
+///
+/// If the claim it prints fails: TPUSim's NCHW/HWCN cycle ratio must be at
+/// least 1 and rise strictly with stride, and the trace-driven NCHW fill
+/// must be slower than the HWCN fill.
 pub fn report() -> String {
     let mut out = String::new();
     banner(
@@ -86,6 +91,7 @@ pub fn report() -> String {
         &["stride", "HWCN", "NCHW", "NCHW/HWCN"],
         &[6, 10, 10, 10],
     );
+    let mut prev_ratio = 1.0;
     for stride in [1usize, 2, 4] {
         let shape = ConvShape::square(8, 64, 56, 64, 3, stride, 1).expect("valid layer");
         let mut cycles = Vec::new();
@@ -97,13 +103,25 @@ pub fn report() -> String {
             let sim = Simulator::new(cfg);
             cycles.push(sim.simulate_conv("l", &shape, SimMode::ChannelFirst).cycles);
         }
+        let ratio = cycles[1] as f64 / cycles[0] as f64;
+        // At least 1 at stride 1, then rising strictly with stride.
+        let holds = if stride == 1 {
+            ratio >= 1.0
+        } else {
+            ratio > prev_ratio
+        };
+        assert!(
+            holds,
+            "stride {stride}: NCHW/HWCN cycle ratio {ratio:.3} after {prev_ratio:.3}"
+        );
+        prev_ratio = ratio;
         crate::outln!(
             out,
             "{:>6}  {:>10}  {:>10}  {:>9.2}x",
             stride,
             cycles[0],
             cycles[1],
-            cycles[1] as f64 / cycles[0] as f64
+            ratio
         );
     }
 
@@ -135,6 +153,10 @@ pub fn report() -> String {
     }
     let hwcn = measured[0].1 as f64;
     let nchw = measured[2].1 as f64;
+    assert!(
+        nchw > hwcn,
+        "BankSim NCHW fill {nchw} is not slower than HWCN {hwcn}"
+    );
     crate::outln!(
         out,
         "NCHW fill takes {:.2}x the cycles of HWCN on the trace-driven model.\n\

@@ -6,8 +6,12 @@
 use crate::fmt::{banner, header};
 use iconv_sram::{AreaModel, CrossbarModel};
 
-/// Run the ablation.
 /// Render the experiment's full report.
+///
+/// # Panics
+///
+/// If the claim it prints fails: crossbar area must grow faster than the
+/// port count, and 128-way banking must cost more area than one bank.
 pub fn report() -> String {
     let mut out = String::new();
     banner(
@@ -31,19 +35,33 @@ pub fn report() -> String {
     // macro bank of the same total capacity.
     let total = 2 * 1024 * 1024u64;
     let single = area.area_mm2(total, 32);
+    let mut prev: Option<(usize, f64)> = None;
     for ports in [32usize, 64, 128, 256, 512] {
+        let xbar_area = xbar.area(ports, 32);
+        if let Some((p0, a0)) = prev {
+            assert!(
+                xbar_area / a0 > ports as f64 / p0 as f64,
+                "crossbar area {a0:.1} -> {xbar_area:.1} grows no faster than ports {p0} -> {ports}"
+            );
+        }
+        prev = Some((ports, xbar_area));
         let per_bank = (total / ports as u64).max(64);
         let banked: f64 = area.area_mm2(per_bank, 4) * ports as f64;
         crate::outln!(
             out,
             "{:>8}  {:>10.1}  {:>11.1}  {:>10.2}  {:>10}",
             ports,
-            xbar.area(ports, 32),
+            xbar_area,
             xbar.energy_per_bit(ports),
             banked,
             "0 (none)"
         );
     }
+    let banking = area.area_mm2((total / 128).max(64), 4) * 128.0 / single;
+    assert!(
+        banking > 1.0,
+        "128-way banking costs {banking:.2}x one bank"
+    );
     crate::outln!(
         out,
         "\n*area in units of one 32-lane GPU shuffle network (what Lym et al. reuse\n\
@@ -52,7 +70,7 @@ pub fn report() -> String {
          ~{:.1}x over a single wide-word bank — the paper's reason channel-last\n\
          implicit im2col cannot ride up to a 128x128 systolic array.",
         128,
-        area.area_mm2((total / 128).max(64), 4) * 128.0 / single
+        banking
     );
     out
 }

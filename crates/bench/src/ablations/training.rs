@@ -8,7 +8,6 @@ use crate::fmt::{banner, header};
 use iconv_tpusim::{Simulator, TpuConfig};
 use iconv_workloads::all_models;
 
-/// Run the ablation.
 /// Render the experiment's full report.
 pub fn report() -> String {
     let mut out = String::new();

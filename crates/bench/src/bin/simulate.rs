@@ -58,8 +58,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if args.model.is_none() && args.layer.is_none() {
-        return Err("one of --model or --layer is required".into());
+    if args.model.is_some() == args.layer.is_some() {
+        return Err("give exactly one of --model or --layer".into());
     }
     Ok(args)
 }

@@ -19,6 +19,10 @@
 //!    layouts (NCHW, CHWN) shred the implicit path's DRAM run lengths on
 //!    strided layers. The cycles assertion is therefore scoped to `ci ≥ 16`
 //!    × {HWCN, NHWC}; the memory assertion is unconditional.
+//!
+//! The four kept ablation runners (`layout`, `batching`, `scalability`,
+//! `tpuv3`) ride here too: each asserts the paper claim it prints inside
+//! `report()`, so its test just renders the report.
 
 use iconv_core::{ConvPass, PipelineSchedule};
 use iconv_tensor::{ConvShape, Layout};
@@ -315,4 +319,28 @@ fn invariants_hold_across_strides() {
             }
         }
     }
+}
+
+/// Fig. 7: NCHW fills fall further behind HWCN as the stride grows.
+#[test]
+fn ablation_layout_claim_holds() {
+    iconv_bench::ablations::layout::report();
+}
+
+/// Sec. IV-A and IV-C: batch packing fills the words of strided layers.
+#[test]
+fn ablation_batching_claim_holds() {
+    iconv_bench::ablations::batching::report();
+}
+
+/// Sec. II-C: channel-last routing hardware grows faster than the array.
+#[test]
+fn ablation_scalability_claim_holds() {
+    iconv_bench::ablations::scalability::report();
+}
+
+/// Sec. VII-A: TPU-v3's second MXU runs on v2's idle port bandwidth.
+#[test]
+fn ablation_tpuv3_claim_holds() {
+    iconv_bench::ablations::tpuv3::report();
 }

@@ -54,7 +54,6 @@ pub mod decompose;
 pub mod lowered;
 pub mod pass;
 pub mod schedule;
-pub mod sparse;
 
 pub use addrgen::{AddrGen, ArrayOp, VectorMemSpec, WordAddr};
 pub use algo::ConvAlgorithm;
@@ -63,4 +62,3 @@ pub use decompose::FilterTile;
 pub use lowered::LoweredView;
 pub use pass::{ConvPass, ALL_PASSES};
 pub use schedule::{chunked_steady, tpu_group_size, PipelineSchedule, TileGroup, TileSchedule};
-pub use sparse::SparseFilter;

@@ -101,7 +101,7 @@ impl Client {
         Client::from_stream(TcpStream::connect(addr)?)
     }
 
-    fn from_stream(stream: TcpStream) -> io::Result<Client> {
+    pub(crate) fn from_stream(stream: TcpStream) -> io::Result<Client> {
         stream.set_nodelay(true).ok();
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {

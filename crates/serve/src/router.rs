@@ -105,7 +105,9 @@ pub struct RouterConfig {
     pub health_interval: Duration,
     /// Bound on one connect attempt to a backend (non-zero). A refused or
     /// timed-out attempt is not retried: it counts against the backend's
-    /// breaker, and the line fails over to the next backend.
+    /// breaker, and the line fails over to the next backend. A health
+    /// probe's write and read are bounded by it too, so a backend that
+    /// accepts but never answers fails its probe.
     pub connect_timeout: Duration,
     /// Armed fault plan consulted at the router↔backend seams.
     pub faults: Option<Arc<dyn FaultPoint>>,
@@ -401,10 +403,7 @@ fn health_loop(shared: &RouterShared, interval: Duration) {
             if !shared.breakers[b].allow() {
                 continue;
             }
-            let ok = Client::connect(addr)
-                .ok()
-                .is_some_and(|mut c| c.ping().is_ok());
-            if ok {
+            if probe(addr, shared.connect_timeout) {
                 shared.breakers[b].on_success();
             } else {
                 shared.breakers[b].on_failure();
@@ -428,19 +427,33 @@ struct Link {
     broken: AtomicBool,
 }
 
+/// One connect attempt to each address `addr` resolves to, each bounded by
+/// `timeout`, so a dead backend fails at once.
+fn connect_once(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+    let mut last = io::Error::new(IoErrorKind::InvalidInput, "no address to connect to");
+    addr.to_socket_addrs()?
+        .find_map(|a| {
+            TcpStream::connect_timeout(&a, timeout)
+                .map_err(|e| last = e)
+                .ok()
+        })
+        .ok_or(last)
+}
+
+/// One health probe: a connect, a `ping` and its answer, each bounded by
+/// `timeout`. Any error, a timeout included, fails the probe.
+fn probe(addr: &str, timeout: Duration) -> bool {
+    connect_once(addr, timeout).is_ok_and(|s| {
+        s.set_read_timeout(Some(timeout)).is_ok()
+            && s.set_write_timeout(Some(timeout)).is_ok()
+            && Client::from_stream(s).is_ok_and(|mut c| c.ping().is_ok())
+    })
+}
+
 impl Link {
-    /// One connect attempt to each address `addr` resolves to, each bounded
-    /// by `timeout`, so a dead backend fails at once.
+    /// One connect attempt (see [`connect_once`]).
     fn connect(addr: &str, timeout: Duration) -> io::Result<Arc<Self>> {
-        let mut last = io::Error::new(IoErrorKind::InvalidInput, "no address to connect to");
-        let out = addr
-            .to_socket_addrs()?
-            .find_map(|a| {
-                TcpStream::connect_timeout(&a, timeout)
-                    .map_err(|e| last = e)
-                    .ok()
-            })
-            .ok_or(last)?;
+        let out = connect_once(addr, timeout)?;
         out.set_nodelay(true).ok();
         let input = Mutex::new(BufReader::new(out.try_clone()?));
         Ok(Arc::new(Self {

@@ -5,8 +5,9 @@
 //! a batch's sub-batches are all sent before any answer is read, and a
 //! connection's next line is forwarded before the previous answer is back.
 //! Failover under pipelining, prompt failover from a backend that refuses
-//! connections, shutdown of listeners bound to an unspecified address, and
-//! a prompt shutdown under a long health interval are pinned here too.
+//! connections, shutdown of listeners bound to an unspecified address, a
+//! prompt shutdown under a long health interval, and a health probe that
+//! gives up on a backend that never answers are pinned here too.
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
@@ -23,7 +24,7 @@ use iconv_serve::client::RetryPolicy;
 use iconv_serve::protocol::{
     encode_batch, encode_estimate, encode_simple, finish_response, parse_request, pong_body,
 };
-use iconv_serve::router::{spawn_router, RouterConfig, RouterHandle, DEFAULT_VNODES};
+use iconv_serve::router::{spawn_router, BreakerState, RouterConfig, RouterHandle, DEFAULT_VNODES};
 use iconv_serve::{
     canonical_key, spawn, Client, EstimateRequest, Request, ServerConfig, Work,
     DEFAULT_CONNECT_TIMEOUT,
@@ -444,4 +445,40 @@ fn a_backend_that_refuses_connections_fails_over_at_once() {
     );
     router.shutdown();
     live.shutdown();
+}
+
+#[test]
+fn a_backend_that_never_answers_fails_its_health_probe() {
+    // Bound but never accepting: connects complete in the listen backlog,
+    // and no answer ever comes back.
+    let silent = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let live = spawn(ServerConfig::default()).expect("spawn backend");
+    let router = spawn_router(RouterConfig {
+        backends: vec![
+            live.local_addr().to_string(),
+            silent.local_addr().expect("silent addr").to_string(),
+        ],
+        health_interval: Duration::from_millis(50),
+        connect_timeout: Duration::from_millis(100),
+        ..RouterConfig::default()
+    })
+    .expect("spawn router");
+    let deadline = Instant::now() + HOLD;
+    while router.breaker_states()[1] != BreakerState::Open && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let states = router.breaker_states();
+
+    // Shut down on a helper thread, so that a hung health thread fails the
+    // test instead of hanging it; the helper is joined once it has returned.
+    let (done, finished) = channel();
+    let helper = std::thread::spawn(move || {
+        router.shutdown();
+        done.send(()).ok();
+    });
+    let shut = finished.recv_timeout(Duration::from_secs(2));
+    live.shutdown();
+    assert_eq!(states[1], BreakerState::Open, "breakers: {states:?}");
+    assert!(shut.is_ok(), "router shutdown took over 2 s");
+    helper.join().expect("shutdown helper panicked");
 }

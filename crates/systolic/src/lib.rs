@@ -24,10 +24,8 @@
 
 pub mod array;
 pub mod conv;
-pub mod output_stationary;
 pub mod reference;
 pub mod timing;
 
 pub use array::{ArrayConfig, SystolicArray};
-pub use output_stationary::{os_gemm, os_gemm_cycles, OsArrayConfig};
 pub use timing::{gemm_timing, tile_stream_cycles, GemmTiming};

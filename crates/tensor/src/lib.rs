@@ -27,14 +27,12 @@
 //! ```
 
 pub mod conv_ref;
-pub mod grouped;
 pub mod im2col;
 pub mod layout;
 pub mod mat;
 pub mod shape;
 pub mod tensor;
 
-pub use grouped::GroupedConv;
 pub use im2col::{ColumnOrder, Tap};
 pub use layout::{Axis, Coord, Dims, Layout};
 pub use mat::{GemmWorkspace, Matrix};

@@ -326,10 +326,12 @@ impl Simulator {
         let exposed = (first_fill + steady).saturating_sub(compute_cycles);
         debug_assert!(first_fill + steady >= compute_cycles);
 
-        // --- Vector-memory port stats (per-array averages).
+        // --- Vector-memory port stats (per-array averages). Reads count
+        // every streamed pass, whichever MXU runs it: `stream_cycles` is
+        // already divided across the MXUs, which share the ports.
         let row_occ =
             ((shape.wf * shape.ci) as f64 / (passes_per_row as f64 * rows as f64)).min(1.0);
-        let reads = (stream_cycles as f64 * row_occ / packing as f64) as u64;
+        let reads = ((total_passes * m_total as u64) as f64 * row_occ / packing as f64) as u64;
         // One division: `/rows/packing` truncated twice, dropping up to
         // `packing − 1` extra words.
         let writes = (m_total * shape.co) as u64 / (rows * packing) as u64;
@@ -391,42 +393,6 @@ impl Simulator {
                 steady,
             },
         }
-    }
-
-    /// Simulate a convolution whose filter carries structured sparsity
-    /// (see `iconv_core::sparse`): pruned taps drop out of the schedule and
-    /// inactive channel blocks skip their PE rows, so streamed passes scale
-    /// with the *schedule density* rather than the dense tap count — the
-    /// sparse-accelerator direction the paper's conclusion proposes.
-    pub fn simulate_conv_sparse<T: iconv_tensor::Scalar>(
-        &self,
-        name: &str,
-        sparse: &iconv_core::SparseFilter<T>,
-    ) -> LayerReport {
-        let shape = *sparse.shape();
-        let mut rep = self.simulate_conv(name, &shape, SimMode::ChannelFirst);
-        let density = sparse.schedule_density().max(1e-9);
-        // Compute passes shrink with active scheduling units; the IFMap
-        // still streams for any tap that needs it, so memory traffic keeps
-        // the ifmap/ofmap terms and scales only the weight term.
-        let dense_compute = rep.compute_cycles as f64;
-        let sparse_compute = (dense_compute * density).ceil() as u64;
-        let saved = rep.compute_cycles - sparse_compute;
-        rep.compute_cycles = sparse_compute;
-        // The saved compute comes straight out of the steady phase
-        // (`saved ≤ compute ≤ steady`), so conservation is preserved and
-        // the exposed memory time is unchanged — the IFMap still streams
-        // under the shorter compute.
-        rep.cycles -= saved;
-        rep.phases.steady -= saved;
-        debug_assert!(rep.assert_conserved());
-        rep.flops = (shape.flops() as f64 * density) as u64;
-        let eb = self.config().vector_mem.elem_bytes as u64;
-        let dense_w = shape.filter_elems() as u64 * eb;
-        let sparse_w = (dense_w as f64 * density) as u64;
-        rep.dram_bytes = rep.dram_bytes - dense_w + sparse_w;
-        rep.name = format!("{name} (density {:.2})", density);
-        rep
     }
 
     /// Simulate a plain `M × N × K` GEMM (the TPU's native primitive,
@@ -673,7 +639,8 @@ impl Simulator {
         debug_assert!(first_fill + steady >= compute_cycles);
 
         let col_occ = out_cols as f64 / (out_cols.div_ceil(cols) * cols) as f64;
-        let reads = (stream_cycles as f64 * row_occ / packing as f64) as u64;
+        // Every MXU's streamed passes, as on the forward path.
+        let reads = ((total_passes * m as u64) as f64 * row_occ / packing as f64) as u64;
         let writes = (m * out_cols) as u64 / (rows * packing) as u64;
 
         LayerReport {
@@ -919,6 +886,24 @@ mod tests {
     }
 
     #[test]
+    fn port_reads_count_every_mxu() {
+        // The same work reads the same words whether one MXU streams it or
+        // two share it; only the cycles it takes may differ.
+        let mut two = TpuConfig::tpu_v2();
+        two.mxus = 2;
+        let (one, two) = (sim(), Simulator::new(two));
+        for m in iconv_workloads::all_models(8) {
+            for l in &m.layers {
+                for pass in iconv_core::ALL_PASSES {
+                    let r1 = one.simulate_pass(&l.name, &l.shape, pass, SimMode::ChannelFirst);
+                    let r2 = two.simulate_pass(&l.name, &l.shape, pass, SimMode::ChannelFirst);
+                    assert_eq!(r1.sram.reads, r2.sram.reads, "{} {} {pass}", m.name, l.name);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn big_layer_chunks_fit_budget() {
         // YOLO conv1 at batch 64 exceeds 32MB: must chunk, not explode.
         let s = layer(32, 208, 64, 3, 1, 64);
@@ -1027,21 +1012,6 @@ mod tests {
         let traced = sim().simulate_conv_traced("l", &s, SimMode::ChannelFirst, &mut rec);
         assert_eq!(plain, traced);
         assert!(!rec.is_empty());
-    }
-
-    #[test]
-    fn sparse_report_stays_conserved() {
-        use iconv_core::{sparse::prune_taps, SparseFilter};
-        use iconv_tensor::conv_ref::filter_dims;
-        use iconv_tensor::Tensor;
-        let s = layer(64, 28, 64, 3, 1, 8);
-        let filter = Tensor::<f32>::random(filter_dims(&s), Layout::Nchw, 7);
-        for keep in [1.0, 0.5, 0.0] {
-            let pruned = prune_taps(&s, &filter, keep, 17);
-            let sparse = SparseFilter::from_dense(s, pruned);
-            let r = sim().simulate_conv_sparse("l", &sparse);
-            assert!(r.assert_conserved());
-        }
     }
 
     #[test]

@@ -25,17 +25,12 @@
 //! ```
 
 pub mod config;
-pub mod energy;
 pub mod engine;
-pub mod grouped;
 pub mod microsim;
-pub mod multicore;
 pub mod report;
 pub mod training;
 
 pub use config::{TpuConfig, TpuConfigBuilder, TpuConfigError};
-pub use energy::{EnergyModel, EnergyReport};
 pub use engine::{SimMode, Simulator};
-pub use multicore::{Interconnect, MulticoreReport};
 pub use report::{Bottleneck, LayerReport, ModelReport, Phases};
 pub use training::TrainingReport;

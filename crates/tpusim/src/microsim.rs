@@ -14,13 +14,13 @@
 //! row with the systolic skew; the weight-stationary grid computes; the
 //! de-serializers pack results back into words.
 //!
-//! This is the ground truth beneath the phase-level engine: it produces
-//! *both* bit-exact OFMaps and exact cycle counts with real port-conflict
-//! behaviour, at small scale. Tests verify the OFMap against direct
-//! convolution, the port-discipline invariant (never two accesses in one
-//! cycle), and that the phase engine's throughput assumptions (one lowered
-//! row per cycle at word ≥ 2, 2× stall at word 1 with write-back) emerge
-//! rather than being assumed.
+//! It produces *both* bit-exact OFMaps and exact cycle counts with real
+//! port-conflict behaviour, at small scale. Tests verify the OFMap against
+//! direct convolution, the port discipline (never two accesses in one
+//! cycle), that word 2 interleaves write-backs into idle port cycles
+//! without a stall, and that word 1 with write-back stalls. No test
+//! compares its cycles with the phase-level engine's. The two disagree,
+//! and reconciling them is ROADMAP item 6.
 
 use iconv_core::addrgen::{AddrGen, ArrayOp, VectorMemSpec};
 use iconv_core::schedule::TileSchedule;

@@ -106,7 +106,7 @@ impl LayerReport {
             self.cycles,
             self.phases.dispatch
         );
-        // Under every schedule (single- or double-buffered, sparse, or
+        // Under every schedule (single- or double-buffered, or
         // explicit-im2col) the steady phase runs at least as long as the
         // compute it hides: overlap can only hide memory behind compute,
         // never shrink compute itself.

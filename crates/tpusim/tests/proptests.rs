@@ -241,17 +241,6 @@ fn conservation_over_all_workload_tables() {
                     assert!(rep.compute_cycles <= rep.cycles);
                     checked += 1;
                 }
-                if layer.groups > 1 {
-                    let gc = iconv_tensor::GroupedConv::new(layer.shape, layer.groups).unwrap();
-                    for strategy in [
-                        iconv_tpusim::grouped::GroupedStrategy::Sequential,
-                        iconv_tpusim::grouped::GroupedStrategy::BlockDiagonal,
-                    ] {
-                        let rep = sim.simulate_grouped(&layer.name, &gc, strategy);
-                        assert!(rep.assert_conserved(), "{} {strategy:?}", layer.name);
-                        checked += 1;
-                    }
-                }
             }
         }
     }

@@ -14,9 +14,6 @@ pub struct Layer {
     /// differ; timing does not), so end-to-end sums stay honest without
     /// duplicating table rows.
     pub count: usize,
-    /// Channel groups (`1` = dense, `ci` = depthwise). The `shape` carries
-    /// the *full* channel extents; FLOPs divide by `groups`.
-    pub groups: usize,
 }
 
 impl Layer {
@@ -26,7 +23,6 @@ impl Layer {
             name: name.into(),
             shape,
             count: 1,
-            groups: 1,
         }
     }
 
@@ -36,26 +32,12 @@ impl Layer {
             name: name.into(),
             shape,
             count,
-            groups: 1,
         }
     }
 
-    /// Construct a grouped (or depthwise, `groups = ci`) layer.
-    pub fn grouped(name: impl Into<String>, shape: ConvShape, groups: usize) -> Self {
-        debug_assert_eq!(shape.ci % groups, 0, "groups must divide ci");
-        debug_assert_eq!(shape.co % groups, 0, "groups must divide co");
-        Self {
-            name: name.into(),
-            shape,
-            count: 1,
-            groups,
-        }
-    }
-
-    /// Total FLOPs contributed by all occurrences (grouped layers do `1/G`
-    /// of the dense work).
+    /// Total FLOPs contributed by all occurrences.
     pub fn total_flops(&self) -> u64 {
-        self.shape.flops() / self.groups as u64 * self.count as u64
+        self.shape.flops() * self.count as u64
     }
 }
 

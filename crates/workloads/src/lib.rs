@@ -18,7 +18,6 @@ pub mod nets;
 
 pub use layer::{Layer, Model};
 pub use nets::{
-    alexnet, all_models, dcgan_generator, densenet121, distinct_shapes, googlenet, mobilenet_v1,
-    resnet50, resnet_representative_layers, table1_models, transpose_models, unet, vgg16, yolov2,
-    zfnet,
+    alexnet, all_models, dcgan_generator, densenet121, distinct_shapes, googlenet, resnet50,
+    resnet_representative_layers, table1_models, transpose_models, unet, vgg16, yolov2, zfnet,
 };

@@ -210,40 +210,6 @@ pub fn yolov2(n: usize) -> Model {
     }
 }
 
-/// MobileNetV1 (Howard et al. 2017): depthwise-separable convolutions —
-/// *not* in the paper's workload set; included to study how GEMM
-/// accelerators cope with grouped/depthwise layers (see the
-/// `ablation_depthwise` runner). Depthwise layers carry `groups = ci`.
-pub fn mobilenet_v1(n: usize) -> Model {
-    let mut layers = vec![conv("conv1", n, 3, 224, 32, 3, 2, 1)];
-    // (in_ch, out_ch, spatial at the dw layer, dw stride)
-    let blocks = [
-        (32usize, 64usize, 112usize, 1usize),
-        (64, 128, 112, 2),
-        (128, 128, 56, 1),
-        (128, 256, 56, 2),
-        (256, 256, 28, 1),
-        (256, 512, 28, 2),
-        (512, 512, 14, 1),
-        (512, 512, 14, 1),
-        (512, 512, 14, 1),
-        (512, 512, 14, 1),
-        (512, 512, 14, 1),
-        (512, 1024, 14, 2),
-        (1024, 1024, 7, 1),
-    ];
-    for (i, &(cin, cout, hw, s)) in blocks.iter().enumerate() {
-        let dw = ConvShape::square(n, cin, hw, cin, 3, s, 1)
-            .unwrap_or_else(|e| panic!("bad mobilenet dw{i}: {e}"));
-        layers.push(Layer::grouped(format!("dw{}", i + 1), dw, cin));
-        layers.push(conv(&format!("pw{}", i + 1), n, cin, hw / s, cout, 1, 1, 0));
-    }
-    Model {
-        name: "MobileNetV1",
-        layers,
-    }
-}
-
 /// DCGAN generator (Radford et al. 2016), 64×64 output: four stride-2
 /// 4×4 transposed convolutions on top of the z-projection — *not* in the
 /// paper's workload set; included as a transposed-conv-heavy table for the
@@ -491,23 +457,6 @@ mod tests {
         assert_eq!(layers[0].name, "56-64-64-3-s2");
         assert_eq!(layers[0].shape.stride_h, 2);
         assert_eq!(layers[0].shape.n, 8);
-    }
-
-    #[test]
-    fn mobilenet_structure_and_flops() {
-        let m = mobilenet_v1(1);
-        // 1 stem + 13 x (dw + pw) = 27 layers.
-        assert_eq!(m.layers.len(), 27);
-        // Published MobileNetV1 ≈ 1.1 GFLOPs (multiply-add = 2).
-        let g = m.total_flops() as f64 / 1e9;
-        assert!((0.9..1.3).contains(&g), "MobileNetV1 {g} GFLOPs");
-        // Depthwise layers carry their group counts.
-        let dw1 = m.layers.iter().find(|l| l.name == "dw1").unwrap();
-        assert_eq!(dw1.groups, 32);
-        assert_eq!(dw1.shape.ci, 32);
-        // Depthwise FLOPs are tiny next to the pointwise partner.
-        let pw1 = m.layers.iter().find(|l| l.name == "pw1").unwrap();
-        assert!(pw1.total_flops() > 3 * dw1.total_flops());
     }
 
     #[test]
