@@ -20,9 +20,9 @@
 //!    strided layers. The cycles assertion is therefore scoped to `ci ≥ 16`
 //!    × {HWCN, NHWC}; the memory assertion is unconditional.
 //!
-//! The four kept ablation runners (`layout`, `batching`, `scalability`,
-//! `tpuv3`) ride here too: each asserts the paper claim it prints inside
-//! `report()`, so its test just renders the report.
+//! The five kept ablation runners (`layout`, `batching`, `scalability`,
+//! `tpuv3`, `training`) ride here too: each asserts the claim it prints
+//! inside `report()`, so its test just renders the report.
 
 use iconv_core::{ConvPass, PipelineSchedule};
 use iconv_tensor::{ConvShape, Layout};
@@ -343,4 +343,30 @@ fn ablation_scalability_claim_holds() {
 #[test]
 fn ablation_tpuv3_claim_holds() {
     iconv_bench::ablations::tpuv3::report();
+}
+
+/// Training chips (Sec. VII): a step costs 2–3 forward passes.
+#[test]
+fn ablation_training_claim_holds() {
+    iconv_bench::ablations::training::report();
+}
+
+/// A training step prices each pass with `simulate_pass`, the model that
+/// serve, tune and the `passes` baseline report: no second formula for a
+/// gradient, on either chip.
+#[test]
+fn training_step_is_the_pass_model() {
+    for sim in [TpuConfig::tpu_v2(), TpuConfig::tpu_v3()].map(Simulator::new) {
+        for model in iconv_workloads::all_models(8) {
+            let steps = sim.simulate_model_training(&model);
+            for ((step, _), (i, layer)) in steps.iter().zip(model.layers.iter().enumerate()) {
+                let (name, shape) = (&layer.name, &layer.shape);
+                let pass = |p| sim.simulate_pass(name, shape, p, SimMode::ChannelFirst);
+                let what = format!("{} {name}", model.name);
+                assert_eq!(step.forward, pass(ConvPass::Forward), "{what}");
+                assert_eq!(step.wgrad, pass(ConvPass::Wgrad), "{what}");
+                assert_eq!(step.dgrad, (i > 0).then(|| pass(ConvPass::Dgrad)), "{what}");
+            }
+        }
+    }
 }

@@ -116,6 +116,17 @@ impl ConvPass {
     pub fn gathers_output_side(self) -> bool {
         matches!(self, ConvPass::Dgrad | ConvPass::Transpose)
     }
+
+    /// The tensor this pass gathers, as `(elements, channels, width)`: the
+    /// IFMap for forward and wgrad, the output-side tensor for dgrad and
+    /// transpose (see [`ConvPass::gathers_output_side`]).
+    pub fn gathered(self, shape: &ConvShape) -> (usize, usize, usize) {
+        if self.gathers_output_side() {
+            (shape.ofmap_elems(), shape.co, shape.out_w())
+        } else {
+            (shape.ifmap_elems(), shape.ci, shape.wi)
+        }
+    }
 }
 
 impl std::fmt::Display for ConvPass {

@@ -95,25 +95,6 @@ impl GpuSim {
         &self.config
     }
 
-    /// K-dimension as the schedule pads it: channel-first pads each tap's
-    /// `Ci` up to the WMMA fragment granularity (16); for channel counts
-    /// below the fragment size, consecutive taps are packed into shared
-    /// fragments (the GPU analogue of the TPU multi-tile merge), so the
-    /// whole reduction pads once. Channel-last pads the whole `Hf·Wf·Ci`
-    /// once to the slice width.
-    fn k_padded(&self, shape: &ConvShape, per_tap: bool) -> usize {
-        if per_tap {
-            if shape.ci >= 16 {
-                shape.hf * shape.wf * shape.ci.div_ceil(16) * 16
-            } else {
-                shape.lowered_cols().div_ceil(16) * 16
-            }
-        } else {
-            let bk = self.config.block.bk;
-            shape.lowered_cols().div_ceil(bk) * bk
-        }
-    }
-
     /// Simulate one layer under `algo`.
     pub fn simulate_conv(&self, name: &str, shape: &ConvShape, algo: GpuAlgo) -> GpuLayerReport {
         self.simulate_conv_shared(name, shape, algo, &mut ReuseFetches::new(*shape))
@@ -132,20 +113,47 @@ impl GpuSim {
         algo: GpuAlgo,
         fetches: &mut ReuseFetches,
     ) -> GpuLayerReport {
+        self.simulate(name, shape, ConvPass::Forward, algo, fetches)
+    }
+
+    /// Simulate one convolution pass (forward, wgrad, dgrad, or transposed
+    /// convolution) under `algo`: the pass's GEMM view (see
+    /// [`ConvPass::gemm_mnk`]) over the corresponding tensor traffic.
+    pub fn simulate_pass(
+        &self,
+        name: &str,
+        shape: &ConvShape,
+        pass: ConvPass,
+        algo: GpuAlgo,
+    ) -> GpuLayerReport {
+        self.simulate(name, shape, pass, algo, &mut ReuseFetches::new(*shape))
+    }
+
+    /// The one cost path behind every (pass, algorithm) pair.
+    fn simulate(
+        &self,
+        name: &str,
+        shape: &ConvShape,
+        pass: ConvPass,
+        algo: GpuAlgo,
+        fetches: &mut ReuseFetches,
+    ) -> GpuLayerReport {
         let cfg = &self.config;
-        let (m, n, _) = shape.gemm_mnk();
+        let (m, n, k_view) = pass.gemm_mnk(shape);
         let (timing, transform_cycles) = match algo {
             GpuAlgo::CudnnImplicit => {
-                let t = traffic::channel_last(cfg, shape);
-                let k = self.k_padded(shape, false);
+                let t = self.implicit_traffic(shape, pass, algo, fetches);
+                let k = self.k_padded(shape, pass, false);
                 // Strided access breaks the conflict-free shared-memory
                 // layout the channel-last design relies on (Lym et al.
                 // lay the IFMap out offline for unit stride): consecutive
-                // lanes hit banks `stride` apart, serializing the fill.
-                // Calibrated against the paper's Fig. 4a degradations.
-                // 1x1 filters gather whole channel vectors per pixel and
-                // need no window-overlap routing, so they escape the
-                // conflict serialization.
+                // lanes hit banks `stride` apart, serializing the fill. A
+                // backward gather scatters the same way: dgrad's dilation
+                // holes and wgrad's strided windows. Calibrated against
+                // the paper's Fig. 4a degradations. 1x1 filters gather
+                // whole channel vectors per pixel and need no
+                // window-overlap routing, so they escape the conflict
+                // serialization.
                 let conflicts = if shape.hf * shape.wf > 1 {
                     ((shape.stride_h * shape.stride_w) as f64).min(3.0)
                 } else {
@@ -160,57 +168,32 @@ impl GpuSim {
                     0.0,
                 )
             }
-            GpuAlgo::ChannelFirst { reuse } => {
-                // For channel counts below the WMMA fragment size the
-                // packed-tap kernel stages whole input rows (per-pixel
-                // vectors would be sub-sector fetches); its precomputed
-                // per-tap addressing keeps the staging conflict-free.
-                let t = if shape.ci >= 16 {
-                    traffic::channel_first(cfg, shape, reuse, fetches)
-                } else {
-                    traffic::channel_last(cfg, shape)
-                };
-                let k = self.k_padded(shape, true);
+            GpuAlgo::ChannelFirst { .. } => {
+                let t = self.implicit_traffic(shape, pass, algo, fetches);
+                let k = self.k_padded(shape, pass, true);
                 (
                     time_kernel(cfg, m, n, k, &t, cfg.sw_pipeline_efficiency),
                     0.0,
                 )
             }
             GpuAlgo::GemmEquivalent => {
-                let t = traffic::gemm_equivalent(cfg, shape);
-                let k = self.k_padded(shape, false);
+                let t = traffic::view_gemm(cfg, m, n, k_view);
+                let k = self.k_padded(shape, pass, false);
                 (time_kernel(cfg, m, n, k, &t, 1.0), 0.0)
             }
             GpuAlgo::ExplicitIm2col => {
-                let t = traffic::gemm_equivalent(cfg, shape);
-                let k = self.k_padded(shape, false);
+                let t = traffic::view_gemm(cfg, m, n, k_view);
+                let k = self.k_padded(shape, pass, false);
                 let mut timing = time_kernel(cfg, m, n, k, &t, 1.0);
-                // The transform kernel: bandwidth-bound. The lowered-matrix
-                // write dominates and streams sequentially; the IFMap gather
-                // reads whole rows through the cache hierarchy, so it is
-                // charged at row-run efficiency rather than per-window.
-                let dram = iconv_dram::DramModel::new(cfg.dram);
-                let lowered = shape.lowered_elems() as u64 * cfg.elem_bytes;
-                let ifmap = shape.ifmap_elems() as u64 * cfg.elem_bytes;
-                let row_run = (shape.wi * shape.ci) as u64 * cfg.elem_bytes;
-                let transform = lowered as f64 / (cfg.dram.bytes_per_cycle * dram.efficiency(4096))
-                    + ifmap as f64 / (cfg.dram.bytes_per_cycle * dram.efficiency(row_run))
-                    + cfg.launch_cycles as f64;
+                let transform = self.transform_cycles(shape, pass);
                 timing.cycles += transform;
                 timing.memory_cycles += transform;
                 (timing, transform)
             }
             GpuAlgo::Indirect => {
-                let base = if shape.ci >= 16 {
-                    traffic::channel_first(cfg, shape, true, fetches)
-                } else {
-                    traffic::channel_last(cfg, shape)
-                };
-                let k = self.k_padded(shape, true);
-                (
-                    self.apply_indirect(shape, ConvPass::Forward, base, m, n, k),
-                    0.0,
-                )
+                let t = self.implicit_traffic(shape, pass, algo, fetches);
+                let k = self.k_padded(shape, pass, true);
+                (self.apply_indirect(shape, pass, t, m, n, k), 0.0)
             }
         };
         GpuLayerReport {
@@ -222,20 +205,67 @@ impl GpuSim {
         }
     }
 
-    /// K-dimension padding of a backward/transposed pass's GEMM view.
-    /// dgrad/transpose reduce over taps × `Co`, so the per-tap WMMA padding
-    /// mirrors the forward rule with `Co` in `Ci`'s place; wgrad reduces
-    /// over pixels (no tap structure) and pads once to fragment granularity.
-    fn k_padded_view(&self, shape: &ConvShape, pass: ConvPass, per_tap: bool) -> usize {
-        let (_, _, k) = pass.gemm_mnk(shape);
-        if per_tap && pass.gathers_output_side() && shape.co >= 16 {
-            shape.hf * shape.wf * shape.co.div_ceil(16) * 16
-        } else if per_tap {
-            k.div_ceil(16) * 16
-        } else {
-            let bk = self.config.block.bk;
-            k.div_ceil(bk) * bk
+    /// Global-memory traffic of an implicit schedule. Forward blocks stage
+    /// the input region (cuDNN) or fetch per tap (channel-first, and the
+    /// indirect schedule with reuse); below the WMMA fragment size the
+    /// packed-tap kernel stages whole input rows instead, since per-pixel
+    /// vectors would be sub-sector fetches and its precomputed per-tap
+    /// addressing keeps the staging conflict-free. Every other pass streams
+    /// its gathered tensor straight from DRAM.
+    fn implicit_traffic(
+        &self,
+        shape: &ConvShape,
+        pass: ConvPass,
+        algo: GpuAlgo,
+        fetches: &mut ReuseFetches,
+    ) -> Traffic {
+        let cfg = &self.config;
+        let reuse = match algo {
+            GpuAlgo::ChannelFirst { reuse } => reuse,
+            _ => true,
+        };
+        match pass {
+            ConvPass::Forward if algo != GpuAlgo::CudnnImplicit && shape.ci >= 16 => {
+                traffic::channel_first(cfg, shape, reuse, fetches)
+            }
+            ConvPass::Forward => traffic::channel_last(cfg, shape),
+            _ => traffic::pass_implicit(cfg, shape, pass),
         }
+    }
+
+    /// K-dimension of a pass's GEMM view as the schedule pads it. Per-tap
+    /// schedules pad each tap's gathered channels (`Ci` forward, `Co` for
+    /// dgrad and transpose) to the WMMA fragment granularity (16). Below
+    /// the fragment size consecutive taps pack into shared fragments (the
+    /// GPU analogue of the TPU multi-tile merge), and wgrad reduces over
+    /// pixels with no tap structure, so both pad the whole reduction once.
+    /// Channel-last and the dense GEMMs pad the whole K to the slice width.
+    fn k_padded(&self, shape: &ConvShape, pass: ConvPass, per_tap: bool) -> usize {
+        let (_, _, k) = pass.gemm_mnk(shape);
+        let (_, channels, _) = pass.gathered(shape);
+        if per_tap && pass != ConvPass::Wgrad && channels >= 16 {
+            shape.hf * shape.wf * channels.div_ceil(16) * 16
+        } else {
+            let granule = if per_tap { 16 } else { self.config.block.bk };
+            k.div_ceil(granule) * granule
+        }
+    }
+
+    /// The explicit transform kernel: bandwidth-bound. The lowered-view
+    /// write dominates and streams sequentially (for dgrad, the
+    /// zero-dilated rotated-filter matrix); the source gather reads whole
+    /// rows through the cache hierarchy, so it is charged at row-run
+    /// efficiency rather than per-window.
+    fn transform_cycles(&self, shape: &ConvShape, pass: ConvPass) -> f64 {
+        let cfg = &self.config;
+        let dram = iconv_dram::DramModel::new(cfg.dram);
+        let lowered = pass.lowered_view_elems(shape) as u64 * cfg.elem_bytes;
+        let (src_elems, channels, width) = pass.gathered(shape);
+        let src = src_elems as u64 * cfg.elem_bytes;
+        let row_run = (width * channels) as u64 * cfg.elem_bytes;
+        lowered as f64 / (cfg.dram.bytes_per_cycle * dram.efficiency(4096))
+            + src as f64 / (cfg.dram.bytes_per_cycle * dram.efficiency(row_run))
+            + cfg.launch_cycles as f64
     }
 
     /// Layer the indirect-convolution costs onto an implicit schedule: the
@@ -262,93 +292,6 @@ impl GpuSim {
         timing.cycles += deref;
         timing.memory_cycles += deref;
         timing
-    }
-
-    /// Simulate one convolution pass (forward, wgrad, dgrad, or transposed
-    /// convolution) under `algo`. `ConvPass::Forward` is exactly
-    /// [`GpuSim::simulate_conv`]; the backward passes time the pass's GEMM
-    /// view (see [`ConvPass::gemm_mnk`]) over the corresponding tensor
-    /// traffic.
-    pub fn simulate_pass(
-        &self,
-        name: &str,
-        shape: &ConvShape,
-        pass: ConvPass,
-        algo: GpuAlgo,
-    ) -> GpuLayerReport {
-        if pass == ConvPass::Forward {
-            return self.simulate_conv(name, shape, algo);
-        }
-        let cfg = &self.config;
-        let (m, n, k_view) = pass.gemm_mnk(shape);
-        let (timing, transform_cycles) = match algo {
-            GpuAlgo::CudnnImplicit => {
-                let t = traffic::pass_implicit(cfg, shape, pass);
-                let k = self.k_padded_view(shape, pass, false);
-                // The channel-last layout scatters under a backward gather
-                // the same way it does under a forward stride: dgrad's
-                // dilation holes and wgrad's strided windows both break the
-                // conflict-free staging (1×1 filters escape, as forward).
-                let conflicts = if shape.hf * shape.wf > 1 {
-                    ((shape.stride_h * shape.stride_w) as f64).min(3.0)
-                } else {
-                    1.0
-                };
-                let sw = conflicts.powf(0.25).recip();
-                (
-                    crate::kernel::time_kernel_with_penalty(cfg, m, n, k, &t, sw, conflicts),
-                    0.0,
-                )
-            }
-            GpuAlgo::ChannelFirst { .. } => {
-                let t = traffic::pass_implicit(cfg, shape, pass);
-                let k = self.k_padded_view(shape, pass, true);
-                (
-                    time_kernel(cfg, m, n, k, &t, cfg.sw_pipeline_efficiency),
-                    0.0,
-                )
-            }
-            GpuAlgo::GemmEquivalent => {
-                let t = traffic::view_gemm(cfg, m, n, k_view);
-                let k = self.k_padded_view(shape, pass, false);
-                (time_kernel(cfg, m, n, k, &t, 1.0), 0.0)
-            }
-            GpuAlgo::ExplicitIm2col => {
-                let t = traffic::view_gemm(cfg, m, n, k_view);
-                let k = self.k_padded_view(shape, pass, false);
-                let mut timing = time_kernel(cfg, m, n, k, &t, 1.0);
-                // Materialize the pass's lowered view (for dgrad, the
-                // zero-dilated rotated-filter matrix) — bandwidth-bound,
-                // same structure as the forward transform.
-                let dram = iconv_dram::DramModel::new(cfg.dram);
-                let lowered = pass.lowered_view_elems(shape) as u64 * cfg.elem_bytes;
-                let (src_elems, channels, width) = if pass.gathers_output_side() {
-                    (shape.ofmap_elems(), shape.co, shape.out_w())
-                } else {
-                    (shape.ifmap_elems(), shape.ci, shape.wi)
-                };
-                let src = src_elems as u64 * cfg.elem_bytes;
-                let row_run = (width * channels) as u64 * cfg.elem_bytes;
-                let transform = lowered as f64 / (cfg.dram.bytes_per_cycle * dram.efficiency(4096))
-                    + src as f64 / (cfg.dram.bytes_per_cycle * dram.efficiency(row_run))
-                    + cfg.launch_cycles as f64;
-                timing.cycles += transform;
-                timing.memory_cycles += transform;
-                (timing, transform)
-            }
-            GpuAlgo::Indirect => {
-                let t = traffic::pass_implicit(cfg, shape, pass);
-                let k = self.k_padded_view(shape, pass, true);
-                (self.apply_indirect(shape, pass, t, m, n, k), 0.0)
-            }
-        };
-        GpuLayerReport {
-            name: name.to_string(),
-            algo,
-            timing,
-            transform_cycles,
-            conv_flops: shape.flops(),
-        }
     }
 
     /// [`GpuSim::simulate_conv`] with kernel stages emitted into `sink`:

@@ -3,8 +3,9 @@
 //! A V100 Tensor-Core GPU timing model running the paper's convolution
 //! schedules (Secs. II, V): the cuDNN-proxy implicit **channel-last**
 //! algorithm, our block-level implicit **channel-first** algorithm (with and
-//! without inter-tile reuse), the **explicit** im2col baseline, and the
-//! plain **GEMM-equivalent** reference.
+//! without inter-tile reuse), the **explicit** im2col baseline, the plain
+//! **GEMM-equivalent** reference and Dukhan's **indirect** convolution, for
+//! every pass of training through one cost path.
 //!
 //! All schedules run on the *identical* machine model (SM fleet, shared-
 //! memory tile pipeline, run-length-aware HBM), so differences isolate the

@@ -170,16 +170,9 @@ pub fn channel_first(
     }
 }
 
-/// Traffic of a plain GEMM of the lowered dimensions (the Fig. 4 reference):
-/// dense `A` rows streamed once per output-column block.
-pub fn gemm_equivalent(cfg: &GpuConfig, shape: &ConvShape) -> Traffic {
-    let (m, n, k) = shape.gemm_mnk();
-    view_gemm(cfg, m, n, k)
-}
-
-/// [`gemm_equivalent`] generalized to any `M×N×K` view — the dense-matrix
-/// traffic of a backward or transposed pass run as a plain (or explicitly
-/// lowered) GEMM.
+/// Traffic of a plain `M×N×K` GEMM over a pass's view (the Fig. 4
+/// reference, and the GEMM half of explicit im2col): dense `A` rows
+/// streamed once per output-column block.
 pub fn view_gemm(cfg: &GpuConfig, m: usize, n: usize, k: usize) -> Traffic {
     let (_bm, blocks_n, b_bytes, c_bytes) = view_bc(cfg, m, n, k);
     // An A row-tile (bm × K) that fits in half the L2 is read once and
@@ -203,11 +196,7 @@ pub fn view_gemm(cfg: &GpuConfig, m: usize, n: usize, k: usize) -> Traffic {
 pub fn pass_implicit(cfg: &GpuConfig, shape: &ConvShape, pass: ConvPass) -> Traffic {
     let (m, n, k) = pass.gemm_mnk(shape);
     let (_bm, _bn, b_bytes, c_bytes) = view_bc(cfg, m, n, k);
-    let (src_elems, channels, width) = if pass.gathers_output_side() {
-        (shape.ofmap_elems(), shape.co, shape.out_w())
-    } else {
-        (shape.ifmap_elems(), shape.ci, shape.wi)
-    };
+    let (src_elems, channels, width) = pass.gathered(shape);
     // Gathers are contiguous across channels (× consecutive pixels when the
     // layer is dense in `w` — dilation holes break the run exactly like a
     // forward stride).
@@ -223,13 +212,6 @@ pub fn pass_implicit(cfg: &GpuConfig, shape: &ConvShape, pass: ConvPass) -> Traf
         c_bytes,
         a_run_bytes: run,
     }
-}
-
-/// Bytes moved by an explicit im2col transform pass (read IFMap, write the
-/// lowered matrix), which precedes [`gemm_equivalent`] in the explicit
-/// algorithm (Fig. 2a baseline).
-pub fn explicit_transform_bytes(cfg: &GpuConfig, shape: &ConvShape) -> u64 {
-    (shape.ifmap_elems() + shape.lowered_elems()) as u64 * cfg.elem_bytes
 }
 
 #[cfg(test)]
@@ -295,17 +277,12 @@ mod tests {
 
     #[test]
     fn gemm_equivalent_scales_with_lowered_size() {
-        let g1 = gemm_equivalent(&cfg(), &shape(1));
-        let g2 = gemm_equivalent(&cfg(), &shape(2));
-        let ratio = g1.a_bytes as f64 / g2.a_bytes as f64;
+        let gemm = |s: ConvShape| {
+            let (m, n, k) = s.gemm_mnk();
+            view_gemm(&cfg(), m, n, k)
+        };
+        let ratio = gemm(shape(1)).a_bytes as f64 / gemm(shape(2)).a_bytes as f64;
         assert!((3.0..5.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn explicit_transform_dominated_by_lowered_matrix() {
-        let s = shape(1);
-        let b = explicit_transform_bytes(&cfg(), &s);
-        assert!(b > 8 * s.ifmap_elems() as u64 * 2);
     }
 
     #[test]

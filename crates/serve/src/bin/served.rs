@@ -11,7 +11,7 @@ use iconv_faults::FaultPlan;
 use iconv_serve::server::{spawn, ServerConfig};
 
 const USAGE: &str = "usage: served [--addr HOST:PORT] [--workers N] [--queue N] [--cache N] \
-     [--cache-shards N] [--batch-chunk N] [--tune-cache PATH] [--fault-plan SPEC]\n       SPEC \
+     [--cache-shards N] [--tune-cache PATH] [--fault-plan SPEC]\n       SPEC \
      e.g. seed=42,rate=0.05 (per-site keys: read,write,partial,delay,panic,deadline; delay-ms=N)";
 
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String> {
@@ -38,9 +38,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, St
             "--cache" => cfg.cache_capacity = positive("--cache", value("--cache")?)?,
             "--cache-shards" => {
                 cfg.cache_shards = positive("--cache-shards", value("--cache-shards")?)?;
-            }
-            "--batch-chunk" => {
-                cfg.batch_chunk = positive("--batch-chunk", value("--batch-chunk")?)?;
             }
             "--tune-cache" => {
                 cfg.tune_cache_path = Some(std::path::PathBuf::from(value("--tune-cache")?));

@@ -150,4 +150,85 @@ mod tests {
             rep.timing.memory_cycles.to_bits()
         );
     }
+
+    #[test]
+    fn answer_bytes_are_pinned() {
+        // Every body `evaluate` renders over the key-pinning works (the
+        // workload table, every pass leg, and per distinct paper shape a
+        // GEMM, the tune keys and every valid grid candidate), at batch 1
+        // and 8, plus each candidate's backward and transposed twin and
+        // the TPU word/MXU overrides under every lowering and pass. A
+        // refactor of either engine must leave every answer byte in place.
+        use iconv_api::tuned::candidates;
+        use iconv_api::{stable_hash64, table, TpuChip, TuneTarget, TunedConfig};
+        use iconv_core::{ConvPass, ALL_PASSES};
+
+        let targets = [
+            TuneTarget::Tpu { chip: TpuChip::V2 },
+            TuneTarget::Tpu { chip: TpuChip::V3 },
+            TuneTarget::Gpu,
+        ];
+        let mut works = table::workload_works(false);
+        for leg in table::PASS_LEGS {
+            works.extend(table::pass_leg_works(false, leg).unwrap());
+        }
+        for shape in [1, 8]
+            .into_iter()
+            .flat_map(iconv_workloads::distinct_shapes)
+        {
+            let (m, n, k) = shape.gemm_mnk();
+            works.push(Work::TpuGemm {
+                m,
+                n,
+                k,
+                hw: TpuHwSpec::default(),
+            });
+            for target in targets {
+                works.push(Work::Tune { shape, target });
+                for c in candidates(target).iter().filter(|c| c.is_valid()) {
+                    works.push(c.to_work(shape));
+                    for pass in [ConvPass::Wgrad, ConvPass::Dgrad, ConvPass::Transpose] {
+                        works.push(match *c {
+                            TunedConfig::Tpu { mode, hw } => Work::TpuPass {
+                                shape,
+                                pass,
+                                mode,
+                                hw,
+                            },
+                            TunedConfig::Gpu { algo, hw } => Work::GpuPass {
+                                shape,
+                                pass,
+                                algo,
+                                hw,
+                            },
+                        });
+                    }
+                }
+            }
+            for word_elems in [1, 2, 16] {
+                for mxus in [1, 2] {
+                    for mode in [SimMode::ChannelFirst, SimMode::Explicit, SimMode::Indirect] {
+                        for pass in ALL_PASSES {
+                            let hw = TpuHwSpec {
+                                word_elems: Some(word_elems),
+                                mxus: Some(mxus),
+                                ..TpuHwSpec::default()
+                            };
+                            works.push(Work::TpuPass {
+                                shape,
+                                pass,
+                                mode,
+                                hw,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        let bodies = iconv_par::par_map(&works, evaluate);
+        let digest = bodies
+            .iter()
+            .fold(0, |h, body| stable_hash64(&format!("{h:016x}{body}")));
+        assert_eq!((works.len(), digest), (243_216, 0x5702_bc38_ff98_8822));
+    }
 }

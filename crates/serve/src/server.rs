@@ -45,8 +45,8 @@
 //! Admission runs on the reader: drain refusal, canonical key, inline
 //! cache hit (no worker slot), intra-request dedup (the first item is the
 //! miss, duplicates are hits), then single-flight join or lead. Led
-//! simulations form the request's work list, drained by at most
-//! `batch_chunk` runner jobs; a runner re-enqueues its continuation at the
+//! simulations form the request's work list, drained by at most one
+//! runner job per worker; a runner re-enqueues its continuation at the
 //! *back* of the pool FIFO only while the list is non-empty, so a giant
 //! sweep cannot starve interleaved requests and a single miss costs
 //! exactly one pool job. A `"hw":"tuned"` conv resolves first: from the
@@ -96,7 +96,8 @@ use crate::protocol::{
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Worker threads running simulations.
+    /// Worker threads running simulations; also the most runner jobs one
+    /// request may hold in the pool at once.
     pub workers: usize,
     /// Bounded job-queue capacity (overload backpressure threshold).
     pub queue_capacity: usize,
@@ -106,11 +107,6 @@ pub struct ServerConfig {
     /// [`StripedCache::DEFAULT_SHARDS`]; `1` degenerates to the old
     /// single-lock cache (useful for comparison benchmarks).
     pub cache_shards: usize,
-    /// Maximum runner jobs a single batch may hold in the pool at once
-    /// (the in-flight chunk). `0` means "as many as there are workers".
-    /// Items beyond the chunk wait on the batch's own work list, so one
-    /// giant sweep never monopolizes the queue against other clients.
-    pub batch_chunk: usize,
     /// Armed fault plan consulted at the I/O and dispatch seams (see the
     /// module-level *Fault seams* notes). `None` — the production default
     /// — compiles every seam down to a branch on this `Option`.
@@ -130,7 +126,6 @@ impl Default for ServerConfig {
             queue_capacity: 1024,
             cache_capacity: 16 * 1024,
             cache_shards: 0,
-            batch_chunk: 0,
             faults: None,
             tune_cache_path: None,
         }
@@ -217,8 +212,6 @@ struct Shared {
     workers: usize,
     /// Armed fault plan, if any (see [`ServerConfig::faults`]).
     faults: Option<Arc<dyn FaultPoint>>,
-    /// Resolved in-flight runner cap per batch (see [`ServerConfig::batch_chunk`]).
-    batch_chunk: usize,
     /// Best-config results of every completed design-space search, keyed
     /// by canonical tune key — what `"hw":"tuned"` requests consult, and
     /// what `--tune-cache` persists across restarts.
@@ -393,11 +386,6 @@ impl ServerHandle {
 pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let workers = cfg.workers.max(1);
-    let batch_chunk = if cfg.batch_chunk == 0 {
-        workers
-    } else {
-        cfg.batch_chunk
-    };
     let cache_shards = if cfg.cache_shards == 0 {
         StripedCache::DEFAULT_SHARDS
     } else {
@@ -415,7 +403,6 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         cache: StripedCache::new(cfg.cache_capacity.max(1), cache_shards),
         pool: WorkerPool::new(workers, cfg.queue_capacity.max(1)),
         workers,
-        batch_chunk,
         tune_store: Mutex::new(tune_store),
         tune_cache_path: cfg.tune_cache_path,
         faults: cfg.faults,
@@ -567,14 +554,17 @@ impl Run {
         self.list.lock().expect("work list poisoned")
     }
 
-    /// Top this request's runners up to `min(batch_chunk, queued sims)`.
+    /// Top this request's runners up to `min(workers, queued sims)`: one
+    /// request holds at most one pool job per worker, and the rest of its
+    /// items wait on its own work list, so a giant sweep never monopolizes
+    /// the queue against other clients.
     /// A chunk the pool cannot take whole degrades to one runner (slower,
     /// but admitted). If the pool takes none and no runner is live, every
     /// queued simulation is refused `busy` or `shutting-down`.
     fn dispatch(self: &Arc<Self>) {
         let want = {
             let mut list = self.list();
-            let cap = self.shared.batch_chunk.min(list.sims.len());
+            let cap = self.shared.workers.min(list.sims.len());
             let want = cap.saturating_sub(list.runners);
             list.runners += want;
             want

@@ -1,14 +1,15 @@
-//! The TPUSim engine: phase-level cycle simulation of one TPU core running
-//! convolutions via implicit channel-first im2col (and the explicit baseline
-//! for Fig. 2b).
+//! The TPUSim engine: phase-level cycle estimates of one TPU core running
+//! any convolution pass through implicit channel-first im2col, the explicit
+//! and indirect baselines (Fig. 2b), and plain GEMMs.
 //!
-//! The engine composes validated component models instead of stepping PEs:
-//! systolic pass latency from `iconv-systolic` (cycle-exact vs the stepped
-//! grid), DRAM transfer time from `iconv-dram` (run-length aware), and
-//! vector-memory port behaviour from `iconv-sram`. Layers are chunked over
-//! the output dimension to fit the double-buffered IFMap budget, and each
-//! chunk's DRAM fill is overlapped with the previous chunk's GEMM, exactly
-//! the Fig. 3/8 pipeline.
+//! Every estimate is a closed form. A pass streams its GEMM view's rows
+//! through weight-stationary array passes, stretched by vector-memory port
+//! stalls; the stream, fill/drain and first weight-load terms are
+//! `iconv_systolic::gemm_timing`'s double-buffered formula, which that
+//! crate checks against its stepped PE grid. DRAM time comes from the
+//! run-length-aware `iconv-dram` model. Layers are chunked to fit the
+//! double-buffered IFMap budget, and each chunk's DRAM fill overlaps the
+//! previous chunk's GEMM: the Fig. 3/8 pipeline.
 
 use crate::config::TpuConfig;
 use crate::report::{LayerReport, ModelReport, Phases};
@@ -19,12 +20,6 @@ use iconv_sram::PortStats;
 use iconv_tensor::{ConvShape, Layout};
 use iconv_trace::{NullSink, TraceSink};
 use iconv_workloads::Model;
-
-// The single-buffered closed form lives in iconv-core so both simulators
-// (and the `PipelineSchedule` knob selecting between it and the
-// double-buffered variant) share one definition; re-exported for the
-// engine's pipeline tests.
-pub(crate) use iconv_core::schedule::chunked_steady;
 
 /// Emit the conserved span partition and the standard per-layer counters
 /// for a finished report, and (in debug builds) check the invariants.
@@ -102,51 +97,57 @@ impl Simulator {
         }
     }
 
-    /// DRAM run length (bytes) for filling IFMap tiles, by layout.
-    fn ifmap_run_bytes(&self, shape: &ConvShape) -> u64 {
-        self.gather_run_bytes(shape, shape.ci, shape.wi)
-    }
-
-    /// DRAM run length (bytes) for gathering a `channels`-deep,
-    /// `width`-wide tensor under this layer's stride, by layout. With
-    /// `(shape.ci, shape.wi)` this is the classic IFMap fill run; the
-    /// backward passes gather the output-side tensor instead
-    /// (`(shape.co, shape.out_w())`), whose stride-dilated view scatters
-    /// exactly like a strided forward gather.
-    fn gather_run_bytes(&self, shape: &ConvShape, channels: usize, width: usize) -> u64 {
+    /// The bytes of the tensor `pass` gathers and the DRAM run length its
+    /// layout gives that gather. The backward passes gather the
+    /// output-side tensor, whose stride-dilated view scatters exactly like
+    /// a strided forward gather.
+    fn gather(&self, shape: &ConvShape, pass: ConvPass) -> (u64, u64) {
         let eb = self.config.vector_mem.elem_bytes as u64;
-        let dense_w = shape.stride_w == 1 && shape.dil_w == 1;
-        match self.config.ifmap_layout {
-            // HWCN/NHWC: channels (× batch for HWCN) of one pixel are
-            // contiguous; dense-width layers extend the run across pixels.
-            Layout::Hwcn => {
-                let per_pixel = (channels * shape.n) as u64 * eb;
-                if dense_w {
-                    per_pixel * width as u64
-                } else {
-                    per_pixel
-                }
-            }
-            Layout::Nhwc => {
-                let per_pixel = channels as u64 * eb;
-                if dense_w {
-                    per_pixel * width as u64
-                } else {
-                    per_pixel
-                }
-            }
-            // CHW layouts: only the width dimension is contiguous.
-            Layout::Nchw | Layout::Chwn => {
-                if dense_w {
-                    width as u64 * eb
-                } else {
-                    eb
-                }
-            }
-        }
+        let (elems, channels, width) = pass.gathered(shape);
+        // HWCN/NHWC: channels (× batch for HWCN) of one pixel are
+        // contiguous; CHW layouts: only the width dimension is. Dense-width
+        // layers extend the run across the row's pixels.
+        let per_pixel = match self.config.ifmap_layout {
+            Layout::Hwcn => (channels * shape.n) as u64 * eb,
+            Layout::Nhwc => channels as u64 * eb,
+            Layout::Nchw | Layout::Chwn => eb,
+        };
+        let run = if shape.stride_w == 1 && shape.dil_w == 1 {
+            per_pixel * width as u64
+        } else {
+            per_pixel
+        };
+        (elems as u64 * eb, run)
     }
 
-    /// Simulate one convolution layer.
+    /// Half the IFMap buffer: what one stage of the double-buffered
+    /// pipeline may hold.
+    fn stage_budget(&self) -> u64 {
+        (self.config.total_sram_bytes() as f64 * self.config.ifmap_buffer_fraction / 2.0) as u64
+    }
+
+    /// Close the Fig. 3/8 pipeline over a layer's compute and memory
+    /// totals: per-chunk fills overlap the previous chunk's GEMM. Chunk
+    /// totals carry their remainders, so no cycle of either phase is lost
+    /// and memory stays visible even when `mem < chunks`; the first
+    /// chunk's fill, the largest, is the exposed head. The schedule knob
+    /// selects the per-chunk-barrier closed form or the double-buffered
+    /// overlap. Returns the phases and the exposed memory cycles.
+    fn pipeline(&self, compute: u64, mem: u64, chunks: u64) -> (Phases, u64) {
+        let first_fill = mem.div_ceil(chunks);
+        let steady = self.config.schedule.steady_cycles(compute, mem, chunks);
+        // `steady ≥ compute` by construction, so `exposed` never saturates.
+        debug_assert!(first_fill + steady >= compute);
+        let phases = Phases {
+            dispatch: self.config.dispatch_cycles,
+            first_fill,
+            steady,
+        };
+        (phases, (first_fill + steady).saturating_sub(compute))
+    }
+
+    /// Simulate one convolution layer: [`Simulator::simulate_pass`] with
+    /// [`ConvPass::Forward`].
     pub fn simulate_conv(&self, name: &str, shape: &ConvShape, mode: SimMode) -> LayerReport {
         self.simulate_conv_traced(name, shape, mode, &mut NullSink)
     }
@@ -161,26 +162,11 @@ impl Simulator {
         mode: SimMode,
         sink: &mut dyn TraceSink,
     ) -> LayerReport {
-        let rep = match mode {
-            SimMode::ChannelFirst => {
-                let g = tpu_group_size(self.config.array.rows, shape.ci, shape.wf);
-                self.simulate_channel_first(name, shape, g, sink)
-            }
-            SimMode::ChannelFirstGrouped(g) => self.simulate_channel_first(name, shape, g, sink),
-            SimMode::Explicit => self.simulate_explicit(name, shape, sink),
-            SimMode::Indirect => {
-                let g = tpu_group_size(self.config.array.rows, shape.ci, shape.wf);
-                let rep = self.simulate_channel_first(name, shape, g, sink);
-                self.apply_indirect_overhead(rep, shape, ConvPass::Forward, sink)
-            }
-        };
-        emit_layer_trace(sink, &rep);
-        rep
+        self.simulate_pass_traced(name, shape, ConvPass::Forward, mode, sink)
     }
 
     /// Simulate one convolution pass (forward, wgrad, dgrad, or transposed
     /// convolution) of the layer described by `shape` under `mode`.
-    /// `ConvPass::Forward` is exactly [`Simulator::simulate_conv`].
     pub fn simulate_pass(
         &self,
         name: &str,
@@ -201,23 +187,14 @@ impl Simulator {
         mode: SimMode,
         sink: &mut dyn TraceSink,
     ) -> LayerReport {
-        if pass == ConvPass::Forward {
-            return self.simulate_conv_traced(name, shape, mode, sink);
-        }
-        let rows = self.config.array.rows;
-        // dgrad/transpose duplicate over the *output* channels (the gathered
-        // tensor is dY); wgrad has no duplication axis (its K runs over
-        // pixels), so every group spelling collapses to the same schedule.
-        let auto_group = match pass {
-            ConvPass::Wgrad => 1,
-            _ => tpu_group_size(rows, shape.co, shape.wf),
-        };
         let rep = match mode {
-            SimMode::ChannelFirst => self.simulate_pass_implicit(name, shape, pass, auto_group),
-            SimMode::ChannelFirstGrouped(g) => self.simulate_pass_implicit(name, shape, pass, g),
-            SimMode::Explicit => self.simulate_pass_explicit(name, shape, pass, sink),
+            SimMode::ChannelFirst => self.simulate_implicit(name, shape, pass, None, sink),
+            SimMode::ChannelFirstGrouped(g) => {
+                self.simulate_implicit(name, shape, pass, Some(g), sink)
+            }
+            SimMode::Explicit => self.simulate_explicit(name, shape, pass, sink),
             SimMode::Indirect => {
-                let rep = self.simulate_pass_implicit(name, shape, pass, auto_group);
+                let rep = self.simulate_implicit(name, shape, pass, None, sink);
                 self.apply_indirect_overhead(rep, shape, pass, sink)
             }
         };
@@ -225,40 +202,60 @@ impl Simulator {
         rep
     }
 
-    fn simulate_channel_first(
+    /// Implicit channel-first execution of any pass (BP-Im2col): the
+    /// address generator gathers the pass's im2col view straight from its
+    /// source tensor, so DRAM moves exactly the three tensor footprints.
+    ///
+    /// Forward gathers the IFMap and packs each filter row's `Wf·Ci`
+    /// reduction. dgrad and transpose run the same schedule with the roles
+    /// swapped: the gathered operand is the stride-dilated output gradient
+    /// (`Co` channels), the resident operand the 180°-rotated filter, and
+    /// the stream writes input pixels. wgrad's K runs over the `N·Ho·Wo`
+    /// pixels, so taps give no packing trick: it tiles K like a plain GEMM,
+    /// with the IFMap gathered on the fly. `group = None` selects the TPU
+    /// duplication strategy.
+    fn simulate_implicit(
         &self,
         name: &str,
         shape: &ConvShape,
-        group: usize,
+        pass: ConvPass,
+        group: Option<usize>,
         sink: &mut dyn TraceSink,
     ) -> LayerReport {
         let cfg = &self.config;
         let (rows, cols) = (cfg.array.rows, cfg.array.cols);
         let eb = cfg.vector_mem.elem_bytes as u64;
+        let (m, out_cols, k) = pass.gemm_mnk(shape);
+        // Filter rows, taps per row, and channels each tap reduces over.
+        let (filter_rows, taps, channels) = match pass {
+            ConvPass::Forward => (shape.hf, shape.wf, shape.ci),
+            ConvPass::Wgrad => (1, 1, k),
+            ConvPass::Dgrad | ConvPass::Transpose => (shape.hf, shape.wf, shape.co),
+        };
         // Duplication cannot usefully exceed what fills the array.
-        let group = group.clamp(1, rows.div_ceil(shape.ci));
-        let m_total = shape.lowered_rows();
+        let group = group
+            .unwrap_or_else(|| tpu_group_size(rows, channels, taps))
+            .clamp(1, rows.div_ceil(channels));
 
         // --- Compute phase. With duplication factor `group`, up to
-        // `group·Ci` K-rows are concurrently resident, so each filter row's
-        // `Wf·Ci` reduction packs the PE rows densely in
-        // `ceil(Wf·Ci / cap)` passes — a tap may straddle two passes (its
-        // second residency copy supplies the tail), which is what lets
+        // `group·channels` K-rows are concurrently resident, so each filter
+        // row's `taps·channels` reduction packs the PE rows densely in
+        // `ceil(taps·channels / cap)` passes — a tap may straddle two passes
+        // (its second residency copy supplies the tail), which is what lets
         // non-dividing channel counts (e.g. Ci = 96) avoid per-tap padding.
-        let cap = (group * shape.ci).min(rows).max(1);
-        let passes_per_row = (shape.wf * shape.ci).div_ceil(cap) as u64;
-        let total_passes = shape.hf as u64 * passes_per_row * shape.co.div_ceil(cols) as u64;
+        let cap = (group * channels).min(rows).max(1);
+        let passes_per_row = (taps * channels).div_ceil(cap) as u64;
+        let total_passes = filter_rows as u64 * passes_per_row * out_cols.div_ceil(cols) as u64;
         // Multiple MXUs (TPU-v3) process independent passes concurrently,
         // each pulling its own stream from the shared vector memories.
-        let stream_cycles = total_passes.div_ceil(cfg.mxus as u64) * m_total as u64;
+        let stream_cycles = total_passes.div_ceil(cfg.mxus as u64) * m as u64;
         // Serializer/port contention: per active array, delivering one
-        // element per cycle needs `1/packing` reads per cycle; OFMap
-        // write-back adds `(m·co/rows)/stream/packing` writes per cycle
-        // (rare — each output element is written once while inputs are
-        // re-read per tap). Demand beyond one access per cycle stalls the
-        // stream.
+        // element per cycle needs `1/packing` reads per cycle; write-back
+        // adds `(m·out_cols/rows)/stream/packing` writes per cycle (rare —
+        // each output element is written once while inputs are re-read per
+        // tap). Demand beyond one access per cycle stalls the stream.
         let packing = self.word_packing(shape);
-        let write_elems_per_array = (m_total * shape.co / rows.max(1)) as f64;
+        let write_elems_per_array = (m * out_cols / rows.max(1)) as f64;
         let port_demand = (1.0 + write_elems_per_array / (stream_cycles.max(1) as f64))
             * cfg.mxus as f64
             / packing as f64;
@@ -267,83 +264,53 @@ impl Simulator {
             + (rows + cols - 1) as u64 // pipeline fill/drain, exposed once
             + rows as u64; // first weight load (rest double-buffered)
 
-        // --- Memory phase.
+        // --- Memory phase: the pass gathers one tensor at its layout's run
+        // length, and streams the filter and the third tensor sequentially.
         let ifmap_bytes = shape.ifmap_elems() as u64 * eb;
         let filter_bytes = shape.filter_elems() as u64 * eb;
         let ofmap_bytes = shape.ofmap_elems() as u64 * eb;
-        let fill = self
-            .dram
-            .transfer_cycles(ifmap_bytes, self.ifmap_run_bytes(shape));
+        let (gathered_bytes, run) = self.gather(shape, pass);
+        let third_bytes = if pass.gathers_output_side() {
+            ifmap_bytes
+        } else {
+            ofmap_bytes
+        };
+        let fill = self.dram.transfer_cycles(gathered_bytes, run);
         let weights = self.dram.transfer_cycles(filter_bytes, 4096);
-        let writeback = self.dram.transfer_cycles(ofmap_bytes, 4096);
-        let mem_cycles = fill + weights + writeback;
+        let third = self.dram.transfer_cycles(third_bytes, 4096);
+        let mem_cycles = fill + weights + third;
 
-        // --- Workspace and chunking: the widest group's resident IFMap
-        // words (duplicated per member), double-buffered within the budget.
-        // A `TileSchedule::multi_tile` group is a chunk of up to `group`
-        // consecutive taps of one filter row, cut at `Wf`, and a tap's
-        // working set is its valid output rows × valid output columns. So
-        // the widest group is the row with the most valid outputs times
-        // the chunk whose taps sum to the most valid columns
-        // (`tests/proptests.rs` pins this to the schedule's own sum).
-        let batch_words = shape.n.div_ceil(cfg.vector_mem.word_elems) as u64;
-        let word_bytes = cfg.vector_mem.word_bytes();
-        let widest_row = (0..shape.hf)
-            .map(|fh| FilterTile::new(fh, 0).valid_out_h(shape))
-            .max()
-            .unwrap_or(0);
-        let widest_chunk = (0..shape.wf)
-            .step_by(group)
-            .map(|fw0| {
-                (fw0..(fw0 + group).min(shape.wf))
-                    .map(|fw| FilterTile::new(0, fw).valid_out_w(shape))
-                    .sum::<usize>()
-            })
-            .max()
-            .unwrap_or(0);
-        let workspace_bytes =
-            (widest_row * widest_chunk) as u64 * batch_words * word_bytes * shape.ci as u64;
-        let budget = (cfg.total_sram_bytes() as f64 * cfg.ifmap_buffer_fraction / 2.0) as u64;
+        // --- Workspace and chunking: the gathered operand's resident tile,
+        // duplicated per group member, within the double-buffered budget.
+        let workspace_bytes = match pass {
+            ConvPass::Forward => self.forward_workspace(shape, group),
+            ConvPass::Wgrad => ifmap_bytes,
+            ConvPass::Dgrad | ConvPass::Transpose => ofmap_bytes * group as u64,
+        };
         let chunks = workspace_bytes
-            .div_ceil(budget.max(1))
+            .div_ceil(self.stage_budget().max(1))
             .max(cfg.min_pipeline_stages);
-
-        // --- Pipeline: per-chunk fills overlap the previous chunk's GEMM.
-        // Chunk totals are distributed with their remainders (truncating
-        // division here used to drop up to `chunks − 1` cycles per phase
-        // and made memory free whenever `mem_cycles < chunks`); the first
-        // chunk's fill — the largest, `div_ceil` — is the exposed head.
-        // The schedule knob selects the per-chunk-barrier closed form or
-        // the double-buffered overlap (`max(compute, mem − first_fill)`).
-        let first_fill = mem_cycles.div_ceil(chunks);
-        let steady = cfg
-            .schedule
-            .steady_cycles(compute_cycles, mem_cycles, chunks);
-        let cycles = cfg.dispatch_cycles + first_fill + steady;
-        // `steady ≥ compute_cycles` by construction, so this never
-        // saturates; the old `cycles − dispatch − min(compute, cycles)`
-        // underflowed whenever truncation pushed steady below compute.
-        let exposed = (first_fill + steady).saturating_sub(compute_cycles);
-        debug_assert!(first_fill + steady >= compute_cycles);
+        let (phases, exposed) = self.pipeline(compute_cycles, mem_cycles, chunks);
 
         // --- Vector-memory port stats (per-array averages). Reads count
         // every streamed pass, whichever MXU runs it: `stream_cycles` is
         // already divided across the MXUs, which share the ports.
-        let row_occ =
-            ((shape.wf * shape.ci) as f64 / (passes_per_row as f64 * rows as f64)).min(1.0);
-        let reads = ((total_passes * m_total as u64) as f64 * row_occ / packing as f64) as u64;
+        let row_occ = ((taps * channels) as f64 / (passes_per_row as f64 * rows as f64)).min(1.0);
+        let reads = ((total_passes * m as u64) as f64 * row_occ / packing as f64) as u64;
         // One division: `/rows/packing` truncated twice, dropping up to
         // `packing − 1` extra words.
-        let writes = (m_total * shape.co) as u64 / (rows * packing) as u64;
-        let col_occ = shape.co as f64 / (shape.co.div_ceil(cols) * cols) as f64;
+        let writes = (m * out_cols) as u64 / (rows * packing) as u64;
+        let col_occ = out_cols as f64 / (out_cols.div_ceil(cols) * cols) as f64;
 
-        if sink.enabled() {
+        // Forward only: the `passes` experiment's counter rollups in
+        // `results/summary.json` hold no breakdown for the other passes.
+        if pass == ConvPass::Forward && sink.enabled() {
             let stall_extra =
                 compute_cycles - stream_cycles - (rows + cols - 1) as u64 - rows as u64;
             // Breakdown counters for the rollups...
             sink.counter("tpusim.dram_fill_cycles", fill);
             sink.counter("tpusim.dram_weight_load_cycles", weights);
-            sink.counter("tpusim.dram_writeback_cycles", writeback);
+            sink.counter("tpusim.dram_writeback_cycles", third);
             sink.counter("tpusim.stream_cycles", stream_cycles);
             sink.counter("tpusim.stall_cycles", stall_extra);
             sink.counter("tpusim.chunks", chunks);
@@ -353,7 +320,7 @@ impl Simulator {
             let mem_track = format!("{name} mem");
             sink.span(&mem_track, "ifmap-fill", 0, fill);
             sink.span(&mem_track, "weight-load", fill, weights);
-            sink.span(&mem_track, "writeback", fill + weights, writeback);
+            sink.span(&mem_track, "writeback", fill + weights, third);
             let comp_track = format!("{name} compute");
             sink.span(&comp_track, "weight-load", 0, rows as u64);
             sink.span(&comp_track, "stream", rows as u64, stream_cycles);
@@ -373,9 +340,11 @@ impl Simulator {
 
         LayerReport {
             name: name.to_string(),
-            cycles,
+            cycles: phases.total(),
             compute_cycles,
             exposed_memory_cycles: exposed,
+            // Useful MACs: every pass does the forward's work, although the
+            // dgrad stream above still spends cycles on the dilation zeros.
             flops: shape.flops(),
             dram_bytes: ifmap_bytes + filter_bytes + ofmap_bytes,
             workspace_bytes,
@@ -387,12 +356,34 @@ impl Simulator {
                 writes,
             },
             array_occupancy: row_occ * col_occ,
-            phases: Phases {
-                dispatch: cfg.dispatch_cycles,
-                first_fill,
-                steady,
-            },
+            phases,
         }
+    }
+
+    /// Forward's workspace: the widest group's resident IFMap words
+    /// (duplicated per member). A `TileSchedule::multi_tile` group is a
+    /// chunk of up to `group` consecutive taps of one filter row, cut at
+    /// `Wf`, and a tap's working set is its valid output rows × valid
+    /// output columns. So the widest group is the row with the most valid
+    /// outputs times the chunk whose taps sum to the most valid columns
+    /// (`tests/proptests.rs` pins this to the schedule's own sum).
+    fn forward_workspace(&self, shape: &ConvShape, group: usize) -> u64 {
+        let vm = &self.config.vector_mem;
+        let batch_words = shape.n.div_ceil(vm.word_elems) as u64;
+        let widest_row = (0..shape.hf)
+            .map(|fh| FilterTile::new(fh, 0).valid_out_h(shape))
+            .max()
+            .unwrap_or(0);
+        let widest_chunk = (0..shape.wf)
+            .step_by(group)
+            .map(|fw0| {
+                (fw0..(fw0 + group).min(shape.wf))
+                    .map(|fw| FilterTile::new(0, fw).valid_out_w(shape))
+                    .sum::<usize>()
+            })
+            .max()
+            .unwrap_or(0);
+        (widest_row * widest_chunk) as u64 * batch_words * vm.word_bytes() * shape.ci as u64
     }
 
     /// Simulate a plain `M × N × K` GEMM (the TPU's native primitive,
@@ -428,15 +419,16 @@ impl Simulator {
         let (rows, cols) = (cfg.array.rows, cfg.array.cols);
         let eb = cfg.vector_mem.elem_bytes as u64;
         let passes = k.div_ceil(rows) as u64 * n.div_ceil(cols) as u64;
-        let compute_cycles =
-            passes.div_ceil(cfg.mxus as u64) * m as u64 + (rows + cols - 1) as u64 + rows as u64;
+        // Pipeline fill/drain and the first weight load, exposed once.
+        let overhead = (rows + cols - 1) as u64 + rows as u64;
+        let compute_cycles = passes.div_ceil(cfg.mxus as u64) * m as u64 + overhead;
 
         let a_bytes = (m * k) as u64 * eb;
         let b_bytes = (k * n) as u64 * eb;
         let c_bytes = (m * n) as u64 * eb;
         // B resident when it fits in a quarter of SRAM, else re-streamed per
         // A chunk.
-        let budget = (cfg.total_sram_bytes() as f64 * cfg.ifmap_buffer_fraction / 2.0) as u64;
+        let budget = self.stage_budget();
         // Capacity chunks decide whether B must be re-streamed; the
         // pipeline runs at least `min_pipeline_stages` fill/compute stages.
         let capacity_chunks = a_bytes.div_ceil(budget.max(1)).max(1);
@@ -447,259 +439,82 @@ impl Simulator {
         } else {
             b_bytes * capacity_chunks
         };
-        let mem_cycles = self.dram.transfer_cycles(a_bytes, 4096)
-            + self.dram.transfer_cycles(b_traffic, 4096)
-            + self.dram.transfer_cycles(c_bytes, 4096);
-
-        // Same remainder-conserving pipeline math as the conv path: the
-        // old truncating `mem_cycles / chunks` leaked cycles and could push
-        // `steady` below `compute_cycles`, underflowing `exposed`.
-        let first_fill = mem_cycles.div_ceil(chunks);
-        let steady = cfg
-            .schedule
-            .steady_cycles(compute_cycles, mem_cycles, chunks);
-        let cycles = cfg.dispatch_cycles + first_fill + steady;
-        let exposed = (first_fill + steady).saturating_sub(compute_cycles);
-        debug_assert!(first_fill + steady >= compute_cycles);
+        let fill = self.dram.transfer_cycles(a_bytes, 4096);
+        let weights = self.dram.transfer_cycles(b_traffic, 4096);
+        let writeback = self.dram.transfer_cycles(c_bytes, 4096);
+        let (phases, exposed) = self.pipeline(compute_cycles, fill + weights + writeback, chunks);
         let occupancy = (k as f64 / (k.div_ceil(rows) * rows) as f64)
             * (n as f64 / (n.div_ceil(cols) * cols) as f64);
 
         if sink.enabled() {
-            sink.counter(
-                "tpusim.dram_fill_cycles",
-                self.dram.transfer_cycles(a_bytes, 4096),
-            );
-            sink.counter(
-                "tpusim.dram_weight_load_cycles",
-                self.dram.transfer_cycles(b_traffic, 4096),
-            );
-            sink.counter(
-                "tpusim.dram_writeback_cycles",
-                self.dram.transfer_cycles(c_bytes, 4096),
-            );
+            sink.counter("tpusim.dram_fill_cycles", fill);
+            sink.counter("tpusim.dram_weight_load_cycles", weights);
+            sink.counter("tpusim.dram_writeback_cycles", writeback);
             sink.counter("tpusim.chunks", chunks);
         }
 
-        let w = cfg.vector_mem.word_elems as u64;
+        // Every MXU's passes cross the shared ports: count the whole
+        // stream, not the per-MXU share `compute_cycles` holds.
+        let words = (passes * m as u64 + overhead) / cfg.vector_mem.word_elems as u64;
         LayerReport {
             name: name.to_string(),
-            cycles,
+            cycles: phases.total(),
             compute_cycles,
             exposed_memory_cycles: exposed,
             flops: 2 * (m as u64) * (n as u64) * (k as u64),
             dram_bytes: a_bytes + b_traffic + c_bytes,
             workspace_bytes: a_bytes.min(budget),
             sram: PortStats {
-                cycles,
-                reads: compute_cycles / w,
-                writes: compute_cycles / w,
+                cycles: phases.total(),
+                reads: words,
+                writes: words,
             },
             array_occupancy: occupancy,
-            phases: Phases {
-                dispatch: cfg.dispatch_cycles,
-                first_fill,
-                steady,
-            },
+            phases,
         }
     }
 
-    /// Simulate a convolution executed as *explicit* im2col: a memory-bound
-    /// lowering pass (read IFMap, write the lowered matrix) followed by a
-    /// GEMM that streams the lowered matrix back in.
+    /// Explicit im2col of any pass: a bandwidth-bound transform that
+    /// gathers the pass's source tensor and writes its lowered view (for
+    /// dgrad, the zero-dilated rotated-filter matrix), then a GEMM that
+    /// streams the materialized matrix back in.
     fn simulate_explicit(
         &self,
         name: &str,
         shape: &ConvShape,
+        pass: ConvPass,
         sink: &mut dyn TraceSink,
     ) -> LayerReport {
-        let eb = self.config.vector_mem.elem_bytes as u64;
-        let ifmap_bytes = shape.ifmap_elems() as u64 * eb;
-        let lowered_bytes = shape.lowered_elems() as u64 * eb;
-        // The transform is bandwidth-bound: it gathers (short runs under
-        // stride) and writes sequentially.
-        let gather_run = self.ifmap_run_bytes(shape);
-        let transform = self.dram.transfer_cycles(ifmap_bytes, gather_run)
-            + self.dram.transfer_cycles(lowered_bytes, 4096);
-        let (m, n, k) = shape.gemm_mnk();
+        let (transform, transform_bytes) = self.explicit_transform(shape, pass);
+        let (m, n, k) = pass.gemm_mnk(shape);
         let mut gemm = self.gemm_report(name, m, n, k, sink);
-        gemm.name = name.to_string();
-        gemm.cycles += transform;
-        gemm.exposed_memory_cycles += transform;
         // The lowering pass runs before the GEMM pipeline starts: it
         // extends the exposed head, keeping the partition exact.
-        gemm.phases.first_fill += transform;
-        gemm.dram_bytes += ifmap_bytes + lowered_bytes; // transform traffic
-        gemm.flops = shape.flops();
-        sink.counter("tpusim.transform_cycles", transform);
-        gemm
-    }
-
-    /// Cycles the explicit transform alone would take (the stacked-bar
-    /// breakdown of Fig. 2b).
-    pub fn explicit_transform_cycles(&self, shape: &ConvShape) -> u64 {
-        let eb = self.config.vector_mem.elem_bytes as u64;
-        let ifmap_bytes = shape.ifmap_elems() as u64 * eb;
-        let lowered_bytes = shape.lowered_elems() as u64 * eb;
-        self.dram
-            .transfer_cycles(ifmap_bytes, self.ifmap_run_bytes(shape))
-            + self.dram.transfer_cycles(lowered_bytes, 4096)
-    }
-
-    /// Implicit (channel-first) execution of a backward or transposed pass.
-    ///
-    /// The BP-Im2col observation: dgrad is the forward channel-first
-    /// schedule with the tensor roles swapped — the gathered operand is the
-    /// stride-dilated output gradient (`Co` channels), the resident operand
-    /// is the 180°-rotated filter, and the stream writes input pixels. No
-    /// zero padding is ever materialized: the address generator skips
-    /// dilation holes exactly as the forward path skips stride holes, so
-    /// DRAM traffic is the tensor footprint, same as forward. wgrad is the
-    /// plain-GEMM shape (K runs over pixels, so taps give no packing trick)
-    /// with the IFMap gathered on the fly.
-    fn simulate_pass_implicit(
-        &self,
-        name: &str,
-        shape: &ConvShape,
-        pass: ConvPass,
-        group: usize,
-    ) -> LayerReport {
-        let cfg = &self.config;
-        let (rows, cols) = (cfg.array.rows, cfg.array.cols);
-        let eb = cfg.vector_mem.elem_bytes as u64;
-        let (m, out_cols, _) = pass.gemm_mnk(shape);
-        let ifmap_bytes = shape.ifmap_elems() as u64 * eb;
-        let filter_bytes = shape.filter_elems() as u64 * eb;
-        let ofmap_bytes = shape.ofmap_elems() as u64 * eb;
-
-        // --- Compute phase: streamed passes over the array.
-        let (total_passes, row_occ, group) = match pass {
-            // K over pixels: dense GEMM tiling of the reduction dimension.
-            ConvPass::Wgrad => {
-                let k = shape.n * shape.out_h() * shape.out_w();
-                let passes = k.div_ceil(rows) as u64 * shape.co.div_ceil(cols) as u64;
-                let occ = k as f64 / (k.div_ceil(rows) * rows) as f64;
-                (passes, occ, 1)
-            }
-            // K over taps × Co: the mirrored channel-first pass structure,
-            // duplicating the rotated filter `group` ways when Co is small.
-            _ => {
-                let group = group.clamp(1, rows.div_ceil(shape.co));
-                let cap = (group * shape.co).min(rows).max(1);
-                let passes_per_row = (shape.wf * shape.co).div_ceil(cap) as u64;
-                let passes = shape.hf as u64 * passes_per_row * shape.ci.div_ceil(cols) as u64;
-                let occ =
-                    ((shape.wf * shape.co) as f64 / (passes_per_row as f64 * rows as f64)).min(1.0);
-                (passes, occ, group)
-            }
-        };
-        let stream_cycles = total_passes.div_ceil(cfg.mxus as u64) * m as u64;
-        let packing = self.word_packing(shape);
-        let write_elems_per_array = (m * out_cols / rows.max(1)) as f64;
-        let port_demand = (1.0 + write_elems_per_array / (stream_cycles.max(1) as f64))
-            * cfg.mxus as f64
-            / packing as f64;
-        let stall = port_demand.max(1.0);
-        let compute_cycles =
-            (stream_cycles as f64 * stall).ceil() as u64 + (rows + cols - 1) as u64 + rows as u64;
-
-        // --- Memory phase: the pass reads two of the three tensors and
-        // writes the third; the gathered one pays its layout's run length.
-        let mem_cycles = if pass.gathers_output_side() {
-            let run = self.gather_run_bytes(shape, shape.co, shape.out_w());
-            self.dram.transfer_cycles(ofmap_bytes, run)
-                + self.dram.transfer_cycles(filter_bytes, 4096)
-                + self.dram.transfer_cycles(ifmap_bytes, 4096)
-        } else {
-            self.dram
-                .transfer_cycles(ifmap_bytes, self.ifmap_run_bytes(shape))
-                + self.dram.transfer_cycles(ofmap_bytes, 4096)
-                + self.dram.transfer_cycles(filter_bytes, 4096)
-        };
-
-        // --- Workspace and chunking: the gathered operand's resident tile,
-        // duplicated per group member on the dgrad side.
-        let workspace_bytes = if pass.gathers_output_side() {
-            ofmap_bytes * group as u64
-        } else {
-            ifmap_bytes
-        };
-        let budget = (cfg.total_sram_bytes() as f64 * cfg.ifmap_buffer_fraction / 2.0) as u64;
-        let chunks = workspace_bytes
-            .div_ceil(budget.max(1))
-            .max(cfg.min_pipeline_stages);
-
-        // --- Pipeline: identical closed form to the forward path, so the
-        // conservation identities hold by construction.
-        let first_fill = mem_cycles.div_ceil(chunks);
-        let steady = cfg
-            .schedule
-            .steady_cycles(compute_cycles, mem_cycles, chunks);
-        let cycles = cfg.dispatch_cycles + first_fill + steady;
-        let exposed = (first_fill + steady).saturating_sub(compute_cycles);
-        debug_assert!(first_fill + steady >= compute_cycles);
-
-        let col_occ = out_cols as f64 / (out_cols.div_ceil(cols) * cols) as f64;
-        // Every MXU's streamed passes, as on the forward path.
-        let reads = ((total_passes * m as u64) as f64 * row_occ / packing as f64) as u64;
-        let writes = (m * out_cols) as u64 / (rows * packing) as u64;
-
-        LayerReport {
-            name: name.to_string(),
-            cycles,
-            compute_cycles,
-            exposed_memory_cycles: exposed,
-            // Useful MACs only: the dgrad view's dilation holes are skipped
-            // by the address generator, never multiplied.
-            flops: shape.flops(),
-            dram_bytes: ifmap_bytes + filter_bytes + ofmap_bytes,
-            workspace_bytes,
-            sram: PortStats {
-                cycles: compute_cycles,
-                reads,
-                writes,
-            },
-            array_occupancy: row_occ * col_occ,
-            phases: Phases {
-                dispatch: cfg.dispatch_cycles,
-                first_fill,
-                steady,
-            },
-        }
-    }
-
-    /// Explicit execution of a backward or transposed pass: materialize the
-    /// pass's lowered view (for dgrad, the zero-dilated rotated-filter
-    /// matrix), then run the dense GEMM over it — the same
-    /// transform-then-GEMM structure as forward explicit im2col.
-    fn simulate_pass_explicit(
-        &self,
-        name: &str,
-        shape: &ConvShape,
-        pass: ConvPass,
-        sink: &mut dyn TraceSink,
-    ) -> LayerReport {
-        let eb = self.config.vector_mem.elem_bytes as u64;
-        let (m, n, k) = pass.gemm_mnk(shape);
-        let lowered_bytes = pass.lowered_view_elems(shape) as u64 * eb;
-        let (src_bytes, gather_run) = if pass.gathers_output_side() {
-            (
-                shape.ofmap_elems() as u64 * eb,
-                self.gather_run_bytes(shape, shape.co, shape.out_w()),
-            )
-        } else {
-            (shape.ifmap_elems() as u64 * eb, self.ifmap_run_bytes(shape))
-        };
-        let transform = self.dram.transfer_cycles(src_bytes, gather_run)
-            + self.dram.transfer_cycles(lowered_bytes, 4096);
-        let mut gemm = self.gemm_report(name, m, n, k, sink);
-        gemm.name = name.to_string();
         gemm.cycles += transform;
         gemm.exposed_memory_cycles += transform;
         gemm.phases.first_fill += transform;
-        gemm.dram_bytes += src_bytes + lowered_bytes; // transform traffic
+        gemm.dram_bytes += transform_bytes;
         gemm.flops = shape.flops();
         sink.counter("tpusim.transform_cycles", transform);
         gemm
+    }
+
+    /// The explicit transform of `pass`: its cycles and its DRAM bytes. It
+    /// gathers the source tensor (short runs under stride) and writes the
+    /// lowered view sequentially.
+    fn explicit_transform(&self, shape: &ConvShape, pass: ConvPass) -> (u64, u64) {
+        let eb = self.config.vector_mem.elem_bytes as u64;
+        let lowered_bytes = pass.lowered_view_elems(shape) as u64 * eb;
+        let (src_bytes, run) = self.gather(shape, pass);
+        let cycles = self.dram.transfer_cycles(src_bytes, run)
+            + self.dram.transfer_cycles(lowered_bytes, 4096);
+        (cycles, src_bytes + lowered_bytes)
+    }
+
+    /// Cycles the forward explicit transform alone would take (the
+    /// stacked-bar breakdown of Fig. 2b).
+    pub fn explicit_transform_cycles(&self, shape: &ConvShape) -> u64 {
+        self.explicit_transform(shape, ConvPass::Forward).0
     }
 
     /// Layer Dukhan's indirect-convolution costs onto an implicit report:
@@ -895,11 +710,22 @@ mod tests {
         for m in iconv_workloads::all_models(8) {
             for l in &m.layers {
                 for pass in iconv_core::ALL_PASSES {
-                    let r1 = one.simulate_pass(&l.name, &l.shape, pass, SimMode::ChannelFirst);
-                    let r2 = two.simulate_pass(&l.name, &l.shape, pass, SimMode::ChannelFirst);
-                    assert_eq!(r1.sram.reads, r2.sram.reads, "{} {} {pass}", m.name, l.name);
+                    for mode in [SimMode::ChannelFirst, SimMode::Explicit] {
+                        let r1 = one.simulate_pass(&l.name, &l.shape, pass, mode);
+                        let r2 = two.simulate_pass(&l.name, &l.shape, pass, mode);
+                        let what = format!("{} {} {pass} {mode:?}", m.name, l.name);
+                        assert_eq!(r1.sram.reads, r2.sram.reads, "{what}");
+                    }
                 }
             }
+        }
+        for (m, n, k) in [(4096, 1024, 1024), (128, 128, 128), (8192, 64, 256)] {
+            let (r1, r2) = (
+                one.simulate_gemm("g", m, n, k),
+                two.simulate_gemm("g", m, n, k),
+            );
+            assert_eq!(r1.sram.reads, r2.sram.reads, "{m}x{n}x{k}");
+            assert_eq!(r1.sram.writes, r2.sram.writes, "{m}x{n}x{k}");
         }
     }
 
@@ -916,6 +742,7 @@ mod tests {
     #[test]
     fn chunked_steady_matches_per_chunk_loop() {
         // The closed form must equal the literal Σᵢ max(computeᵢ, memᵢ).
+        use iconv_core::chunked_steady;
         let loopy = |c: u64, m: u64, n: u64| -> u64 {
             (0..n)
                 .map(|i| {

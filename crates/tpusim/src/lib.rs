@@ -4,13 +4,12 @@
 //! executing convolutions via the implicit channel-first im2col algorithm
 //! (paper Secs. IV & VI, Table II).
 //!
-//! The engine is a phase-level pipeline model built from components that are
-//! each validated at finer granularity: systolic pass latencies are
-//! cycle-exact against the stepped PE grid in `iconv-systolic`, DRAM
-//! transfer times come from the run-length-aware model in `iconv-dram`
-//! (checked against a bank/row-buffer trace simulator), and vector-memory
-//! port behaviour from `iconv-sram`. Layer-scale runs are therefore fast
-//! (closed-form per chunk) without being hand-waved.
+//! The engine is a phase-level pipeline model of closed forms, each checked
+//! at finer granularity elsewhere: its pass latency is the double-buffered
+//! formula that `iconv-systolic`'s `gemm_timing` checks against the stepped
+//! PE grid, and DRAM transfer times come from the run-length-aware model in
+//! `iconv-dram` (checked against a bank/row-buffer trace simulator).
+//! Layer-scale runs are therefore fast without being hand-waved.
 //!
 //! ```
 //! use iconv_tpusim::{Simulator, SimMode, TpuConfig};

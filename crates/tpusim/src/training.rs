@@ -1,14 +1,14 @@
-//! Training-pass timing: the weight- and input-gradient convolutions on the
-//! same channel-first machine (see `iconv_core::backward` for the lowered
-//! semantics). TPU-v2/v3 are training chips, so the training step is the
-//! workload the hardware was actually sized for.
+//! Training-step timing: one layer's forward, weight-gradient and
+//! input-gradient passes, each priced by [`Simulator::simulate_pass`] under
+//! the channel-first schedule — the one pass model the rest of the
+//! simulator reports (see `iconv_core::backward` for the lowered semantics).
+//! TPU-v2/v3 are training chips, so the training step is the workload the
+//! hardware was actually sized for.
 
 use crate::config::TpuConfig;
 use crate::engine::{SimMode, Simulator};
-use crate::report::{LayerReport, Phases};
-use iconv_core::schedule::tpu_group_size;
-use iconv_dram::DramModel;
-use iconv_sram::PortStats;
+use crate::report::LayerReport;
+use iconv_core::ConvPass;
 use iconv_tensor::ConvShape;
 use iconv_workloads::Model;
 
@@ -17,10 +17,11 @@ use iconv_workloads::Model;
 pub struct TrainingReport {
     /// Forward pass.
     pub forward: LayerReport,
-    /// Weight gradient (`dW = Aᵀ·dY`, per tap).
+    /// Weight gradient (`dW = lowered(IFMap)ᵀ · dY`, K over pixels).
     pub wgrad: LayerReport,
-    /// Input gradient (`dX += dY·Bᵀ`, per tap), `None` for the first layer
-    /// of a network (no upstream gradient needed).
+    /// Input gradient (`dX = lowered(dY) · rot180(W)ᵀ` over the
+    /// stride-dilated `dY`), `None` for the first layer of a network (no
+    /// upstream gradient needed).
     pub dgrad: Option<LayerReport>,
 }
 
@@ -30,101 +31,17 @@ impl TrainingReport {
         self.forward.cycles + self.wgrad.cycles + self.dgrad.as_ref().map_or(0, |d| d.cycles)
     }
 
-    /// Total FLOPs of the step (≈3× the forward pass when dgrad runs).
+    /// Total FLOPs of the step (3× the forward pass when dgrad runs).
     pub fn total_flops(&self) -> u64 {
         self.forward.flops + self.wgrad.flops + self.dgrad.as_ref().map_or(0, |d| d.flops)
     }
 }
 
 impl Simulator {
-    /// Gradient-pass helper: one pass structure shared by wgrad and dgrad —
-    /// `hf` filter rows, K packed densely over `wf·k_per_tap` with
-    /// duplication bounded by `min(rows/k_per_tap, wf)`, `out_cols` output
-    /// columns, `m` streamed reduction rows.
-    fn simulate_grad_pass(
-        &self,
-        name: &str,
-        shape: &ConvShape,
-        k_per_tap: usize,
-        out_cols: usize,
-        reads_bytes: u64,
-        writes_bytes: u64,
-    ) -> LayerReport {
-        let cfg = self.config();
-        let (rows, cols) = (cfg.array.rows, cfg.array.cols);
-        let m = shape.lowered_rows();
-        let dup = tpu_group_size(rows, k_per_tap, shape.wf);
-        let cap = (dup * k_per_tap).min(rows).max(1);
-        let passes = shape.hf as u64
-            * ((shape.wf * k_per_tap).div_ceil(cap) as u64)
-            * (out_cols.div_ceil(cols) as u64);
-        let stream = passes.div_ceil(cfg.mxus as u64) * m as u64;
-        let packing = cfg.vector_mem.word_elems.min(shape.n.max(1));
-        let stall = (cfg.mxus as f64 / packing as f64).max(1.0);
-        let compute_cycles =
-            (stream as f64 * stall).ceil() as u64 + (rows + cols - 1) as u64 + rows as u64;
-
-        let dram = DramModel::new(cfg.dram);
-        let mem_cycles =
-            dram.transfer_cycles(reads_bytes, 4096) + dram.transfer_cycles(writes_bytes, 4096);
-        let chunks = cfg.min_pipeline_stages.max(1);
-        // Same remainder-conserving pipeline identity as the forward engine
-        // (`crate::engine`): distribute chunk remainders instead of
-        // truncating them away, expose the first fill, and derive the
-        // exposed memory time from the conserved partition.
-        let first_fill = mem_cycles.div_ceil(chunks);
-        let steady = crate::engine::chunked_steady(compute_cycles, mem_cycles, chunks);
-        let cycles = cfg.dispatch_cycles + first_fill + steady;
-        let rep = LayerReport {
-            name: name.to_string(),
-            cycles,
-            compute_cycles,
-            exposed_memory_cycles: (first_fill + steady).saturating_sub(compute_cycles),
-            flops: shape.flops(),
-            dram_bytes: reads_bytes + writes_bytes,
-            workspace_bytes: 0,
-            sram: PortStats {
-                cycles: compute_cycles,
-                reads: compute_cycles / packing as u64,
-                writes: compute_cycles / packing as u64,
-            },
-            array_occupancy: ((shape.wf * k_per_tap) as f64
-                / ((shape.wf * k_per_tap).div_ceil(cap) * rows) as f64)
-                .min(1.0),
-            phases: Phases {
-                dispatch: cfg.dispatch_cycles,
-                first_fill,
-                steady,
-            },
-        };
-        debug_assert!(rep.assert_conserved());
-        rep
-    }
-
-    /// Simulate the weight-gradient convolution: per tap
-    /// `dW_tap[Ci×Co] = A_tapᵀ[Ci×M] · dY[M×Co]` — same pass structure as
-    /// the forward (the same A slices stream through the array), outputs
-    /// accumulated across `M` instead of along it.
-    pub fn simulate_wgrad(&self, name: &str, shape: &ConvShape) -> LayerReport {
-        let eb = self.config().vector_mem.elem_bytes as u64;
-        let reads = (shape.ifmap_elems() + shape.ofmap_elems()) as u64 * eb;
-        let writes = shape.filter_elems() as u64 * eb;
-        self.simulate_grad_pass(name, shape, shape.ci, shape.co, reads, writes)
-    }
-
-    /// Simulate the input-gradient convolution: per tap
-    /// `dX_tap[M×Ci] = dY[M×Co] · B_tapᵀ[Co×Ci]` — reduction over `Co`,
-    /// scattered back through the de-serializer to the tap's input
-    /// positions (the forward address generation, reversed).
-    pub fn simulate_dgrad(&self, name: &str, shape: &ConvShape) -> LayerReport {
-        let eb = self.config().vector_mem.elem_bytes as u64;
-        let reads = (shape.ofmap_elems() + shape.filter_elems()) as u64 * eb;
-        let writes = shape.ifmap_elems() as u64 * eb;
-        self.simulate_grad_pass(name, shape, shape.co, shape.ci, reads, writes)
-    }
-
-    /// One full training step for a layer (forward + wgrad + optional
-    /// dgrad).
+    /// One full training step for a layer: the forward, wgrad and
+    /// (optionally) dgrad [`Simulator::simulate_pass`] reports, all
+    /// channel-first.
+    ///
     /// # Examples
     ///
     /// ```
@@ -143,10 +60,11 @@ impl Simulator {
         shape: &ConvShape,
         needs_dgrad: bool,
     ) -> TrainingReport {
+        let pass = |pass| self.simulate_pass(name, shape, pass, SimMode::ChannelFirst);
         TrainingReport {
-            forward: self.simulate_conv(name, shape, SimMode::ChannelFirst),
-            wgrad: self.simulate_wgrad(name, shape),
-            dgrad: needs_dgrad.then(|| self.simulate_dgrad(name, shape)),
+            forward: pass(ConvPass::Forward),
+            wgrad: pass(ConvPass::Wgrad),
+            dgrad: needs_dgrad.then(|| pass(ConvPass::Dgrad)),
         }
     }
 
@@ -200,11 +118,10 @@ mod tests {
     fn gradient_passes_cost_about_a_forward_each() {
         // Same MACs, same machine: each gradient pass lands within ~2x of
         // the forward for square layers.
-        let s = sim();
-        let fwd = s.simulate_conv("l", &layer(), SimMode::ChannelFirst).cycles;
-        let wg = s.simulate_wgrad("l", &layer()).cycles;
-        let dg = s.simulate_dgrad("l", &layer()).cycles;
-        for (name, c) in [("wgrad", wg), ("dgrad", dg)] {
+        let step = sim().simulate_training_step("l", &layer(), true);
+        let fwd = step.forward.cycles;
+        let dg = step.dgrad.unwrap().cycles;
+        for (name, c) in [("wgrad", step.wgrad.cycles), ("dgrad", dg)] {
             let ratio = c as f64 / fwd as f64;
             assert!((0.5..2.0).contains(&ratio), "{name} ratio {ratio}");
         }
@@ -261,10 +178,9 @@ mod tests {
     fn asymmetric_layer_gradients_differ_sensibly() {
         // Co >> Ci: dgrad's reduction (over Co) is deeper than wgrad's
         // K-side, so their pass counts differ.
-        let s = sim();
         let shape = ConvShape::square(8, 32, 28, 512, 3, 1, 1).unwrap();
-        let wg = s.simulate_wgrad("l", &shape);
-        let dg = s.simulate_dgrad("l", &shape);
+        let step = sim().simulate_training_step("l", &shape, true);
+        let (wg, dg) = (step.wgrad, step.dgrad.unwrap());
         assert_ne!(wg.cycles, dg.cycles);
         assert!(wg.flops == dg.flops);
     }

@@ -1,7 +1,7 @@
 //! Training with channel-first im2col: compute a real gradient step
 //! functionally (forward, weight gradient, input gradient — all through the
 //! per-tap decomposition), verify the adjoint identity, then time the same
-//! step on simulated TPU-v2 and TPU-v3 cores.
+//! step on simulated TPU-v2 and TPU-v3 cores with the implicit pass model.
 //!
 //! Run with: `cargo run --release --example training_step`
 
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             implicit_conv::tpusim::training::training_tflops(&cfg, &reports),
         );
     }
-    println!("\nBoth gradients run the same per-tap 1x1 schedules as the forward pass —");
-    println!("no extra im2col machinery is needed for training.");
+    println!("\nBoth gradients are priced by the same implicit pass model as the forward");
+    println!("(`Simulator::simulate_pass`) — no extra im2col machinery is needed for training.");
     Ok(())
 }
