@@ -339,6 +339,56 @@ pub struct TuneEstimate {
     pub pruned: u64,
 }
 
+/// One successful estimate, in the currency of whichever engine produced
+/// it: what the in-process evaluator returns, what the server renders, and
+/// what a client decodes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Estimate {
+    /// A TPU (cycle-exact, integer) estimate.
+    Tpu(TpuEstimate),
+    /// A GPU (analytic, f64) estimate.
+    Gpu(GpuEstimate),
+    /// A design-space search result.
+    Tune(TuneEstimate),
+}
+
+impl Estimate {
+    /// The response body (id-free interior) that carries this estimate.
+    pub fn body(&self) -> String {
+        match self {
+            Estimate::Tpu(est) => tpu_body(est),
+            Estimate::Gpu(est) => gpu_body(est),
+            Estimate::Tune(est) => tune_body(est),
+        }
+    }
+
+    /// The TPU total.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the estimate came from another engine — the figure
+    /// reductions know statically which engine each work targets, so a
+    /// mismatch is a bug, not a recoverable condition.
+    pub fn tpu(&self) -> u64 {
+        match self {
+            Estimate::Tpu(est) => est.cycles,
+            other => panic!("expected a TPU estimate, got {other:?}"),
+        }
+    }
+
+    /// The GPU total (bit-exact `KernelTiming::cycles`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the estimate came from another engine.
+    pub fn gpu(&self) -> f64 {
+        match self {
+            Estimate::Gpu(est) => est.cycles,
+            other => panic!("expected a GPU estimate, got {other:?}"),
+        }
+    }
+}
+
 /// The counter snapshot returned by the `stats` op.
 ///
 /// Not `Copy`: the service-time histogram carries its bucket vector, so
@@ -570,6 +620,16 @@ impl Response {
             | Response::ShutdownAck { id }
             | Response::Batch { id, .. }
             | Response::Error { id, .. } => id.as_deref(),
+        }
+    }
+
+    /// The estimate a TPU, GPU or tune answer carries.
+    pub fn estimate(&self) -> Option<Estimate> {
+        match self {
+            Response::Tpu { est, .. } => Some(Estimate::Tpu(*est)),
+            Response::Gpu { est, .. } => Some(Estimate::Gpu(*est)),
+            Response::Tune { est, .. } => Some(Estimate::Tune(*est)),
+            _ => None,
         }
     }
 }

@@ -14,7 +14,7 @@
 use iconv_api::proto::tuned_config_json;
 use iconv_api::TuneTarget;
 use iconv_bench::experiments::tune_table::{sweep, target_label};
-use iconv_tune::TuneEstimate;
+use iconv_tune::{tune_work, Estimate, TuneEstimate};
 use iconv_workloads::Model;
 
 const USAGE: &str = "usage: tunebench [--out PATH] [--skip-serve-check]";
@@ -80,8 +80,8 @@ fn serve_cross_check(
             // search.
             for _ in 0..2 {
                 asked += 1;
-                match client.tune(&l.shape, *target) {
-                    Ok(est) if est == per_model[mi][li] => {}
+                match client.estimate(&tune_work(l.shape, *target)) {
+                    Ok(est) if est == Estimate::Tune(per_model[mi][li]) => {}
                     Ok(est) => {
                         eprintln!(
                             "tunebench: serve mismatch {} {}/{}: {est:?}",

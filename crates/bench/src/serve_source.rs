@@ -17,10 +17,9 @@
 use std::sync::Mutex;
 
 use iconv_api::Work;
-use iconv_serve::protocol::encode_estimate;
-use iconv_serve::{Client, Estimate, EstimateRequest, Response, MAX_SWEEP_ITEMS};
+use iconv_serve::{Client, Estimate, MAX_SWEEP_ITEMS};
 
-use iconv_tune::{CycleCount, CycleSource};
+use iconv_tune::CycleSource;
 
 /// Estimate source speaking the serve protocol.
 pub struct ServeSource {
@@ -57,42 +56,30 @@ impl ServeSource {
 }
 
 impl CycleSource for ServeSource {
-    fn estimate(&self, work: &Work) -> CycleCount {
-        let mut client = self.client.lock().expect("serve client poisoned");
-        // Ship the `Work` itself rather than going through the per-variant
-        // client helpers: that keeps hardware overrides and `tune` on the
-        // same wire bytes as the serve-side cache key.
-        let line = encode_estimate(&EstimateRequest {
-            id: None,
-            work: *work,
-            deadline_ms: None,
-        });
-        match client.call(&line).expect("serve estimate failed") {
-            Response::Tpu { est, .. } => CycleCount::Tpu(est.cycles),
-            Response::Gpu { est, .. } => CycleCount::Gpu(est.cycles),
-            Response::Tune { est, .. } => CycleCount::Tuned(est.tuned_cycles),
-            other => panic!("unexpected serve response: {other:?}"),
-        }
+    fn estimate(&self, work: &Work) -> Estimate {
+        self.client
+            .lock()
+            .expect("serve client poisoned")
+            .estimate(work)
+            .expect("serve estimate failed")
     }
 
     /// Ship the whole table as `batch` requests (one per `MAX_SWEEP_ITEMS`
     /// chunk — in practice a single round trip) instead of one request per
     /// item. The server streams replies in item order, so the results line
     /// up with `works` positionally.
-    fn estimate_many(&self, _jobs: usize, works: &[Work]) -> Vec<CycleCount> {
+    fn estimate_many(&self, _jobs: usize, works: &[Work]) -> Vec<Estimate> {
         let mut client = self.client.lock().expect("serve client poisoned");
         let mut out = Vec::with_capacity(works.len());
         for chunk in works.chunks(MAX_SWEEP_ITEMS) {
             let replies = client
                 .batch(chunk, None)
                 .expect("serve batch estimate failed");
-            for reply in replies {
-                match reply.expect("serve batch item failed") {
-                    Estimate::Tpu(est) => out.push(CycleCount::Tpu(est.cycles)),
-                    Estimate::Gpu(est) => out.push(CycleCount::Gpu(est.cycles)),
-                    Estimate::Tune(est) => out.push(CycleCount::Tuned(est.tuned_cycles)),
-                }
-            }
+            out.extend(
+                replies
+                    .into_iter()
+                    .map(|r| r.expect("serve batch item failed")),
+            );
         }
         out
     }

@@ -40,7 +40,7 @@ pub fn compute() -> Summary {
 /// via [`iconv_par::par_map_jobs`], which preserves input order — the
 /// resulting metrics (and their JSON) are identical for every `jobs` value.
 pub fn compute_jobs(jobs: usize) -> Summary {
-    compute_jobs_with(jobs, &InProcessSource::new())
+    compute_jobs_with(jobs, &InProcessSource)
 }
 
 /// [`compute_jobs`] against an arbitrary estimate source. With

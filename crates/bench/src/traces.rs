@@ -141,29 +141,21 @@ fn tune_trace(rec: &mut Recorder) {
     // Design-space search: for one representative strided layer, trace the
     // Table-II default and the tuned winner of each target side by side,
     // so the before/after spans land in the same file.
-    use iconv_tune::{default_config, tune, ALL_TARGETS};
+    use iconv_tune::{default_config, tune, TunedConfig, ALL_TARGETS};
     let shape = iconv_workloads::alexnet(BATCH).layers[0].shape;
     for target in ALL_TARGETS {
         let est = tune(&shape, target);
         for (tag, cfg) in [("default", default_config(target)), ("tuned", est.best)] {
-            match cfg.to_work(shape) {
-                iconv_api::Work::TpuConv { shape, mode, hw } => {
-                    Simulator::new(iconv_api::resolve_tpu(&hw)).simulate_conv_traced(
-                        &format!("tune {tag}"),
-                        &shape,
-                        mode,
-                        rec,
-                    );
+            let name = format!("tune {tag}");
+            match cfg {
+                TunedConfig::Tpu { mode, hw } => {
+                    Simulator::new(iconv_api::resolve_tpu(&hw))
+                        .simulate_conv_traced(&name, &shape, mode, rec);
                 }
-                iconv_api::Work::GpuConv { shape, algo, hw } => {
-                    GpuSim::new(iconv_api::resolve_gpu(&hw)).simulate_conv_traced(
-                        &format!("tune {tag}"),
-                        &shape,
-                        algo,
-                        rec,
-                    );
+                TunedConfig::Gpu { algo, hw } => {
+                    GpuSim::new(iconv_api::resolve_gpu(&hw))
+                        .simulate_conv_traced(&name, &shape, algo, rec);
                 }
-                _ => unreachable!("tuned configs denote concrete conv works"),
             }
         }
     }

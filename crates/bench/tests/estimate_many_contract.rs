@@ -1,6 +1,6 @@
 //! The `estimate_many` contract: every implementation must return exactly
-//! the values the per-item default loop returns, in input order — u64
-//! cycles equal, GPU f64 cycles *bit*-equal. This pins the `ServeSource`
+//! the estimates the per-item default loop returns, in input order — every
+//! field equal, each GPU `f64` *bit*-equal. This pins the `ServeSource`
 //! batch override against both the in-process source and the default loop
 //! running over the same server, including a mixed cache state where a
 //! pre-warmed slice interleaves hits between cold misses.
@@ -9,20 +9,15 @@ use iconv_api::table::workload_works;
 use iconv_api::Work;
 use iconv_bench::serve_source::ServeSource;
 use iconv_serve::{spawn, ServerConfig};
-use iconv_tune::{CycleCount, CycleSource, InProcessSource};
+use iconv_tune::{CycleSource, Estimate, InProcessSource};
 
-fn assert_bit_identical(got: &[CycleCount], want: &[CycleCount], ctx: &str) {
+/// Whole estimates, every field; the bodies render each `f64` as its
+/// IEEE-754 bits, so equal bodies are bit-equal estimates.
+fn assert_bit_identical(got: &[Estimate], want: &[Estimate], ctx: &str) {
     assert_eq!(got.len(), want.len(), "{ctx}: length mismatch");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        match (g, w) {
-            (CycleCount::Tpu(g), CycleCount::Tpu(w)) => {
-                assert_eq!(g, w, "{ctx}: TPU item {i}");
-            }
-            (CycleCount::Gpu(g), CycleCount::Gpu(w)) => {
-                assert_eq!(g.to_bits(), w.to_bits(), "{ctx}: GPU item {i} ({g} vs {w})");
-            }
-            other => panic!("{ctx}: item {i} engine mismatch: {other:?}"),
-        }
+        assert_eq!(g, w, "{ctx}: item {i}");
+        assert_eq!(g.body(), w.body(), "{ctx}: item {i}");
     }
 }
 
@@ -32,7 +27,7 @@ fn assert_bit_identical(got: &[CycleCount], want: &[CycleCount], ctx: &str) {
 struct LoopedServe<'a>(&'a ServeSource);
 
 impl CycleSource for LoopedServe<'_> {
-    fn estimate(&self, work: &Work) -> CycleCount {
+    fn estimate(&self, work: &Work) -> Estimate {
         self.0.estimate(work)
     }
 }
@@ -41,7 +36,7 @@ impl CycleSource for LoopedServe<'_> {
 fn batched_estimate_many_matches_the_default_loop() {
     let works = workload_works(false);
     assert!(works.len() > 100, "workload table suspiciously small");
-    let local = InProcessSource::new();
+    let local = InProcessSource;
     let expected = local.estimate_many(2, &works);
 
     let handle = spawn(ServerConfig::default()).expect("spawn serve");

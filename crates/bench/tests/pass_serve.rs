@@ -6,11 +6,11 @@
 use iconv_api::table::{pass_leg_works, PASS_LEGS};
 use iconv_bench::serve_source::ServeSource;
 use iconv_serve::{spawn, ServerConfig};
-use iconv_tune::{CycleCount, CycleSource, InProcessSource};
+use iconv_tune::{CycleSource, InProcessSource};
 
 #[test]
 fn every_pass_leg_serves_bit_identically_and_conserves() {
-    let local = InProcessSource::new();
+    let local = InProcessSource;
     let handle = spawn(ServerConfig::default()).expect("spawn serve");
     let addr = handle.local_addr().to_string();
     let src = ServeSource::connect(&addr).expect("connect");
@@ -20,16 +20,11 @@ fn every_pass_leg_serves_bit_identically_and_conserves() {
         let expected = local.estimate_many(2, &works);
         let served = src.estimate_many(4, &works);
         assert_eq!(served.len(), expected.len(), "{leg}");
+        // Whole estimates: every field, each `f64` by its bits (the
+        // body renders them as IEEE-754 bit strings).
         for (i, (g, w)) in served.iter().zip(&expected).enumerate() {
-            match (g, w) {
-                (CycleCount::Tpu(g), CycleCount::Tpu(w)) => {
-                    assert_eq!(g, w, "{leg}: TPU item {i}");
-                }
-                (CycleCount::Gpu(g), CycleCount::Gpu(w)) => {
-                    assert_eq!(g.to_bits(), w.to_bits(), "{leg}: GPU item {i}");
-                }
-                other => panic!("{leg}: item {i} engine mismatch: {other:?}"),
-            }
+            assert_eq!(g, w, "{leg}: item {i}");
+            assert_eq!(g.body(), w.body(), "{leg}: item {i}");
         }
     }
 

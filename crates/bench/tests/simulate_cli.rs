@@ -1,7 +1,7 @@
 //! The `simulate` CLI, driven as a user would: a layer prints the cycle
 //! count the library computes for it, a model trains on TPU-v3, and bad
-//! input (a zero dimension, `--train` on the GPU, both `--model` and
-//! `--layer`) is a usage error with exit status 2.
+//! input (a zero dimension, a layer whose counts overflow, `--train` on the
+//! GPU, both `--model` and `--layer`) is a usage error with exit status 2.
 
 use std::process::{Command, Output};
 
@@ -51,6 +51,8 @@ fn bad_input_is_a_usage_error() {
     for args in [
         &["--target", "gpu", "--model", "vgg16", "--train"][..],
         &["--layer", "0,56,64,3,1,1"],
+        // Its IFMap alone holds over 2^64 elements.
+        &["--layer", "99999999999,56,64,3,1,1", "--batch", "99999999"],
         &["--model", "vgg16", "--layer", "64,56,64,3,1,1"],
     ] {
         let out = simulate(args);

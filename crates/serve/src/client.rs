@@ -16,14 +16,9 @@ use std::time::{Duration, Instant};
 
 use iconv_faults::{mix64, unit_f64, GOLDEN_GAMMA};
 
-use iconv_gpusim::GpuAlgo;
-use iconv_tensor::ConvShape;
-use iconv_tpusim::SimMode;
-
 use crate::protocol::{
-    encode_batch, encode_estimate, encode_simple, parse_response, ErrorKind, EstimateRequest,
-    GpuEstimate, GpuHwSpec, Response, ShardStat, StatsSnapshot, TpuEstimate, TpuHwSpec,
-    TuneEstimate, TuneTarget, Work,
+    encode_batch, encode_estimate, encode_simple, parse_response, ErrorKind, Estimate,
+    EstimateRequest, Response, ShardStat, StatsSnapshot, Work,
 };
 
 /// Connect-retry budget shared by every tool that races a freshly-booted
@@ -31,17 +26,6 @@ use crate::protocol::{
 /// constant instead of scattered hardcoded `Duration::from_secs(5)` calls;
 /// `loadgen --connect-timeout` overrides it per run.
 pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// One successfully-estimated batch item, in either engine's currency.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Estimate {
-    /// A TPU (cycle-exact, integer) estimate.
-    Tpu(TpuEstimate),
-    /// A GPU (analytic, f64) estimate.
-    Gpu(GpuEstimate),
-    /// A design-space search result.
-    Tune(TuneEstimate),
-}
 
 /// Per-item outcome of a [`Client::batch`] call: the estimate, or the
 /// typed protocol error the server attached to that item (deadline, busy,
@@ -192,96 +176,22 @@ impl Client {
         self.recv_response()
     }
 
-    fn call_estimate(&mut self, work: Work) -> Result<Response, ClientError> {
+    /// Estimate one unit of work. The answer is the server's
+    /// [`Estimate`], every `f64` bit-identical to the server-side
+    /// simulation; a repeated work is a cache hit.
+    ///
+    /// # Errors
+    ///
+    /// Transport, decode, or typed server errors.
+    pub fn estimate(&mut self, work: &Work) -> Result<Estimate, ClientError> {
         let line = encode_estimate(&EstimateRequest {
             id: None,
-            work,
+            work: *work,
             deadline_ms: None,
         });
         match self.call(&line)? {
             Response::Error { kind, detail, .. } => Err(ClientError::Server { kind, detail }),
-            other => Ok(other),
-        }
-    }
-
-    /// Estimate a TPU convolution.
-    ///
-    /// # Errors
-    ///
-    /// Transport, decode, or typed server errors.
-    pub fn tpu_conv(
-        &mut self,
-        shape: &ConvShape,
-        mode: SimMode,
-        hw: &TpuHwSpec,
-    ) -> Result<TpuEstimate, ClientError> {
-        match self.call_estimate(Work::TpuConv {
-            shape: *shape,
-            mode,
-            hw: *hw,
-        })? {
-            Response::Tpu { est, .. } => Ok(est),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
-    }
-
-    /// Estimate a TPU GEMM.
-    ///
-    /// # Errors
-    ///
-    /// Transport, decode, or typed server errors.
-    pub fn tpu_gemm(
-        &mut self,
-        m: usize,
-        n: usize,
-        k: usize,
-        hw: &TpuHwSpec,
-    ) -> Result<TpuEstimate, ClientError> {
-        match self.call_estimate(Work::TpuGemm { m, n, k, hw: *hw })? {
-            Response::Tpu { est, .. } => Ok(est),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
-    }
-
-    /// Estimate a GPU convolution. The returned `f64` fields are
-    /// bit-identical to the server-side simulation.
-    ///
-    /// # Errors
-    ///
-    /// Transport, decode, or typed server errors.
-    pub fn gpu_conv(
-        &mut self,
-        shape: &ConvShape,
-        algo: GpuAlgo,
-    ) -> Result<GpuEstimate, ClientError> {
-        match self.call_estimate(Work::GpuConv {
-            shape: *shape,
-            algo,
-            hw: GpuHwSpec::default(),
-        })? {
-            Response::Gpu { est, .. } => Ok(est),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
-    }
-
-    /// Run (or fetch the cached result of) a design-space search for one
-    /// layer. The response is byte-deterministic for a given
-    /// `(shape, target)`, so repeated tunes are cache hits.
-    ///
-    /// # Errors
-    ///
-    /// Transport, decode, or typed server errors.
-    pub fn tune(
-        &mut self,
-        shape: &ConvShape,
-        target: TuneTarget,
-    ) -> Result<TuneEstimate, ClientError> {
-        match self.call_estimate(Work::Tune {
-            shape: *shape,
-            target,
-        })? {
-            Response::Tune { est, .. } => Ok(est),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
+            other => estimate_of(&other),
         }
     }
 
@@ -308,9 +218,6 @@ impl Client {
         let mut out = Vec::with_capacity(works.len());
         for i in 0..works.len() {
             match self.recv_response()? {
-                Response::Tpu { est, .. } => out.push(Ok(Estimate::Tpu(est))),
-                Response::Gpu { est, .. } => out.push(Ok(Estimate::Gpu(est))),
-                Response::Tune { est, .. } => out.push(Ok(Estimate::Tune(est))),
                 Response::Error { kind, detail, .. } => {
                     if i == 0 && kind == ErrorKind::BadRequest {
                         // A rejected batch is one error line, not n+1.
@@ -318,7 +225,7 @@ impl Client {
                     }
                     out.push(Err((kind, detail)));
                 }
-                other => return Err(ClientError::Unexpected(format!("{other:?}"))),
+                other => out.push(Ok(estimate_of(&other)?)),
             }
         }
         match self.recv_response()? {
@@ -391,6 +298,13 @@ impl Client {
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
     }
+}
+
+/// The estimate an answer carries; any other answer is unexpected.
+fn estimate_of(reply: &Response) -> Result<Estimate, ClientError> {
+    reply
+        .estimate()
+        .ok_or_else(|| ClientError::Unexpected(format!("{reply:?}")))
 }
 
 /// Retry schedule for [`RetryClient`]: capped exponential backoff with
@@ -548,22 +462,6 @@ impl RetryClient {
             self.retries += 1;
             std::thread::sleep(self.policy.backoff(attempt - 1, salt));
         }
-    }
-
-    /// [`Client::tpu_gemm`] with retries.
-    ///
-    /// # Errors
-    ///
-    /// See [`RetryClient::with_retry`].
-    pub fn tpu_gemm(
-        &mut self,
-        m: usize,
-        n: usize,
-        k: usize,
-        hw: &TpuHwSpec,
-        salt: u64,
-    ) -> Result<TpuEstimate, ClientError> {
-        self.with_retry(salt, |c| c.tpu_gemm(m, n, k, hw))
     }
 
     /// [`Client::batch`] with retries (all-or-nothing per attempt).

@@ -1,106 +1,26 @@
-//! Request evaluation: resolve hardware overrides, run the simulator, and
-//! render the response body.
+//! Request evaluation: the body a request's answer carries.
 //!
 //! Evaluation is a pure function of the [`Work`] value — no clock, no
 //! randomness, no ambient configuration — which is what makes the cached
 //! and freshly-computed paths byte-identical and the whole service
-//! deterministic under any concurrency.
+//! deterministic under any concurrency. The pricing itself is the one
+//! evaluator, [`iconv_tune::estimate`]; this module renders its answer.
 
-use iconv_gpusim::GpuSim;
-use iconv_tpusim::{LayerReport, Simulator};
-use iconv_tune::tune;
-
-use crate::protocol::{gpu_body, tpu_body, tune_body, GpuEstimate, TpuEstimate, Work};
-
-/// Resolve a hardware spec to the full TPU configuration it denotes
-/// (re-exported from [`iconv_api`]). This runs *before* cache-key
-/// derivation, so overrides equal to the chip's defaults do not fragment
-/// the cache. Specs are validated when parsed, so resolution cannot fail
-/// on wire-reachable values.
-pub use iconv_api::resolve_tpu;
-
-/// GPU counterpart of [`resolve_tpu`]: the default spec resolves to
-/// exactly the V100 preset, so historical requests hit historical keys.
-pub use iconv_api::resolve_gpu;
-
-fn tpu_estimate(rep: &LayerReport) -> TpuEstimate {
-    TpuEstimate {
-        cycles: rep.cycles,
-        compute_cycles: rep.compute_cycles,
-        exposed_memory_cycles: rep.exposed_memory_cycles,
-        dram_bytes: rep.dram_bytes,
-        workspace_bytes: rep.workspace_bytes,
-        flops: rep.flops,
-        dispatch: rep.phases.dispatch,
-        first_fill: rep.phases.first_fill,
-        steady: rep.phases.steady,
-    }
-}
+use crate::protocol::Work;
 
 /// Run the simulation a request asks for and render the response body
 /// (the id-free interior cached by the server).
 pub fn evaluate(work: &Work) -> String {
-    match work {
-        Work::TpuConv { shape, mode, hw } => {
-            let rep = Simulator::new(resolve_tpu(hw)).simulate_conv("serve", shape, *mode);
-            tpu_body(&tpu_estimate(&rep))
-        }
-        Work::TpuPass {
-            shape,
-            pass,
-            mode,
-            hw,
-        } => {
-            let rep = Simulator::new(resolve_tpu(hw)).simulate_pass("serve", shape, *pass, *mode);
-            tpu_body(&tpu_estimate(&rep))
-        }
-        Work::TpuGemm { m, n, k, hw } => {
-            let rep = Simulator::new(resolve_tpu(hw)).simulate_gemm("serve", *m, *n, *k);
-            tpu_body(&tpu_estimate(&rep))
-        }
-        Work::GpuConv { shape, algo, hw } => {
-            let rep = GpuSim::new(resolve_gpu(hw)).simulate_conv("serve", shape, *algo);
-            gpu_body(&GpuEstimate {
-                cycles: rep.timing.cycles,
-                compute_cycles: rep.timing.compute_cycles,
-                memory_cycles: rep.timing.memory_cycles,
-                transform_cycles: rep.transform_cycles,
-                blocks: rep.timing.blocks,
-                flops: rep.conv_flops,
-            })
-        }
-        Work::GpuPass {
-            shape,
-            pass,
-            algo,
-            hw,
-        } => {
-            let rep = GpuSim::new(resolve_gpu(hw)).simulate_pass("serve", shape, *pass, *algo);
-            gpu_body(&GpuEstimate {
-                cycles: rep.timing.cycles,
-                compute_cycles: rep.timing.compute_cycles,
-                memory_cycles: rep.timing.memory_cycles,
-                transform_cycles: rep.transform_cycles,
-                blocks: rep.timing.blocks,
-                flops: rep.conv_flops,
-            })
-        }
-        Work::Tune { shape, target } => {
-            // The search measures candidates sequentially inside this one
-            // job — worker-count independence is what keeps the cached
-            // body byte-identical on any server configuration.
-            tune_body(&tune(shape, *target))
-        }
-    }
+    iconv_tune::estimate(work).body()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::{parse_response, Response, TpuHwSpec};
-    use iconv_gpusim::{GpuAlgo, GpuConfig};
+    use iconv_gpusim::{GpuAlgo, GpuConfig, GpuSim};
     use iconv_tensor::ConvShape;
-    use iconv_tpusim::{SimMode, TpuConfig};
+    use iconv_tpusim::{SimMode, Simulator, TpuConfig};
 
     fn shape() -> ConvShape {
         ConvShape::square(8, 64, 56, 64, 3, 1, 1).unwrap()

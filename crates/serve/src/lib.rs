@@ -66,13 +66,12 @@ pub mod server;
 
 pub use cache::{Body, LruCache, StripedCache};
 pub use client::{
-    BatchItemResult, Client, ClientError, Estimate, RetryClient, RetryPolicy,
-    DEFAULT_CONNECT_TIMEOUT,
+    BatchItemResult, Client, ClientError, RetryClient, RetryPolicy, DEFAULT_CONNECT_TIMEOUT,
 };
 pub use conn::MAX_OWED_LINES;
 pub use iconv_api::canonical_key;
 pub use protocol::{
-    ErrorKind, EstimateRequest, GpuEstimate, GpuHwSpec, Op, Request, Response, ShardStat,
+    ErrorKind, Estimate, EstimateRequest, GpuEstimate, GpuHwSpec, Op, Request, Response, ShardStat,
     StatsSnapshot, SweepError, SweepSpec, SweepTarget, TpuChip, TpuEstimate, TpuHwSpec,
     TuneEstimate, TuneTarget, TunedConfig, Work, MAX_LINE_BYTES, MAX_SWEEP_ITEMS,
 };

@@ -103,11 +103,12 @@ pub struct RouterConfig {
     pub breaker_backoff: RetryPolicy,
     /// Health-probe period.
     pub health_interval: Duration,
-    /// Bound on one connect attempt to a backend (non-zero). A refused or
-    /// timed-out attempt is not retried: it counts against the backend's
-    /// breaker, and the line fails over to the next backend. A health
-    /// probe's write and read are bounded by it too, so a backend that
-    /// accepts but never answers fails its probe.
+    /// Bound on one connect attempt to a backend, and on each read and
+    /// write on a backend connection (non-zero). A refused or timed-out
+    /// connect is not retried: it counts against the backend's breaker,
+    /// and the line fails over to the next backend. A backend that accepts
+    /// but sends nothing for this long fails the same way: a line already
+    /// sent to it fails over, and a health probe to it fails.
     pub connect_timeout: Duration,
     /// Armed fault plan consulted at the router↔backend seams.
     pub faults: Option<Arc<dyn FaultPoint>>,
@@ -451,9 +452,13 @@ fn probe(addr: &str, timeout: Duration) -> bool {
 }
 
 impl Link {
-    /// One connect attempt (see [`connect_once`]).
+    /// One connect attempt (see [`connect_once`]); every later read and
+    /// write on the link is bounded by the same `timeout`, so a backend
+    /// that stops answering fails the line instead of holding it.
     fn connect(addr: &str, timeout: Duration) -> io::Result<Arc<Self>> {
         let out = connect_once(addr, timeout)?;
+        out.set_read_timeout(Some(timeout))?;
+        out.set_write_timeout(Some(timeout))?;
         out.set_nodelay(true).ok();
         let input = Mutex::new(BufReader::new(out.try_clone()?));
         Ok(Arc::new(Self {

@@ -85,10 +85,9 @@ use iconv_api::canonical_key;
 
 use crate::cache::{Admission, Body, FlightOutcome, StripedCache};
 use crate::conn::{Acceptor, Bodies, Gate, Slot, Tier};
-use crate::engine;
 use crate::protocol::{
-    self, error_body, finish_response, pong_body, shards_body, shutdown_body, stats_body,
-    ErrorKind, LatencyHist, Request, StatsSnapshot, TuneEstimate, Work,
+    self, error_body, pong_body, shards_body, shutdown_body, stats_body, ErrorKind, Estimate,
+    LatencyHist, Request, StatsSnapshot, TuneEstimate, Work,
 };
 
 /// Server tunables.
@@ -103,9 +102,9 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Report-cache capacity in entries (spread across the shards).
     pub cache_capacity: usize,
-    /// Lock shards in the report cache. `0` means
-    /// [`StripedCache::DEFAULT_SHARDS`]; `1` degenerates to the old
-    /// single-lock cache (useful for comparison benchmarks).
+    /// Lock shards in the report cache (`served --cache-shards`). `0`
+    /// means [`StripedCache::DEFAULT_SHARDS`]; `1` is one lock over the
+    /// whole cache.
     pub cache_shards: usize,
     /// Armed fault plan consulted at the I/O and dispatch seams (see the
     /// module-level *Fault seams* notes). `None` — the production default
@@ -222,6 +221,10 @@ struct Shared {
 }
 
 impl Shared {
+    fn tune_store(&self) -> MutexGuard<'_, iconv_tune::TuneCache> {
+        self.tune_store.lock().expect("tune store poisoned")
+    }
+
     fn snapshot(&self) -> StatsSnapshot {
         let c = &self.counters;
         let (queue_depth, in_flight) =
@@ -369,8 +372,7 @@ impl ServerHandle {
         // Persist every search this process completed (best-effort: a
         // full disk must not turn a clean drain into a crash).
         if let Some(path) = &self.shared.tune_cache_path {
-            let store = self.shared.tune_store.lock().expect("tune store poisoned");
-            if let Err(e) = store.save(path) {
+            if let Err(e) = self.shared.tune_store().save(path) {
                 eprintln!("iconv-serve: {e}");
             }
         }
@@ -411,7 +413,7 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     // Warm the response cache from the loaded store: a tune for a
     // persisted key is a plain cache hit on the very first request.
     {
-        let store = shared.tune_store.lock().expect("tune store poisoned");
+        let store = shared.tune_store();
         for (tune_key, est) in store.iter() {
             shared
                 .cache
@@ -505,13 +507,7 @@ impl Run {
             if item.resolve {
                 // A layer tuned before (this boot, or a warm-loaded store)
                 // resolves without a flight.
-                let stored = self
-                    .shared
-                    .tune_store
-                    .lock()
-                    .expect("tune store poisoned")
-                    .get(&key)
-                    .copied();
+                let stored = self.shared.tune_store().get(&key).copied();
                 if let Some(est) = stored {
                     self.shared.counters.count_tune(false);
                     item = item.resolved(&est);
@@ -617,11 +613,13 @@ impl Run {
     }
 
     /// The runner's seams, in order: the queue deadline, the
-    /// deadline-storm fault, then the engine under `catch_unwind` with the
-    /// worker-panic fault raised *inside* it. Every path yields an outcome,
-    /// so every item is answered — a swallowed one would leave the writer
-    /// waiting for it and hang the connection.
-    fn simulate(&self, work: &Work) -> FlightOutcome {
+    /// deadline-storm fault, then the evaluator under `catch_unwind` with
+    /// the worker-panic fault raised *inside* it. Every path yields an
+    /// outcome, so every item is answered — a swallowed one would leave the
+    /// writer waiting for it and hang the connection. A search's winner
+    /// goes into the tune store here, before the flight completes, so
+    /// every resolve that led or joined the flight finds it there.
+    fn simulate(&self, sim: &PendingSim) -> FlightOutcome {
         let fire = |site| {
             self.shared.faults.as_ref().is_some_and(|f| {
                 let hit = f.decide(site).is_some();
@@ -638,10 +636,15 @@ impl Run {
             if fire(FaultSite::WorkerPanic) {
                 panic!("iconv-faults: injected worker panic");
             }
-            engine::evaluate(work)
+            iconv_tune::estimate(&sim.items[0].work)
         }));
         match ran {
-            Ok(body) => FlightOutcome::Ready(Body::from(body)),
+            Ok(est) => {
+                if let Estimate::Tune(best) = est {
+                    self.shared.tune_store().insert(sim.key.clone(), best);
+                }
+                FlightOutcome::Ready(Body::from(est.body()))
+            }
             Err(_) => {
                 let c = &self.shared.counters;
                 c.worker_crashes.fetch_add(1, Ordering::Relaxed);
@@ -667,7 +670,8 @@ impl Run {
     /// `led` marks the item whose simulation or search actually ran; any
     /// other `Ready` delivery (inline hit, dedup or single-flight
     /// follower) is a hit. A resolve item counts only in the tune ledger
-    /// and re-enters admission with its concrete work.
+    /// and re-enters admission with the concrete work of the winner the
+    /// search's runner stored.
     fn settle(self: &Arc<Self>, item: Item, shard: usize, led: bool, outcome: &FlightOutcome) {
         let c = &self.shared.counters;
         let body = match outcome {
@@ -686,35 +690,23 @@ impl Run {
             }
         };
         if matches!(item.work, Work::Tune { .. }) {
-            // Only a search's leader (to fill the tune store) and a resolve
-            // need the winner itself.
-            let winner = if led || item.resolve {
-                tune_winner(body)
-            } else {
-                None
-            };
-            if item.resolve && winner.is_none() {
-                // Unreachable for engine-rendered bodies; answered anyway.
-                let unreadable = FlightOutcome::Failed(
-                    ErrorKind::WorkerCrashed,
-                    "unreadable tune result".into(),
-                );
-                return self.settle(item, shard, led, &unreadable);
+            if item.resolve {
+                let key = canonical_key(&item.work);
+                let stored = self.shared.tune_store().get(&key).copied();
+                let Some(best) = stored else {
+                    // Unreachable: a tune body is cached only after its
+                    // winner is stored. Answered anyway.
+                    let missing = FlightOutcome::Failed(
+                        ErrorKind::WorkerCrashed,
+                        "tune result missing from the store".into(),
+                    );
+                    return self.settle(item, shard, led, &missing);
+                };
+                c.count_tune(led);
+                self.admit(vec![item.resolved(&best)]);
+                return;
             }
             c.count_tune(led);
-            if let Some(est) = winner {
-                if led {
-                    self.shared
-                        .tune_store
-                        .lock()
-                        .expect("tune store poisoned")
-                        .insert(canonical_key(&item.work), est);
-                }
-                if item.resolve {
-                    self.admit(vec![item.resolved(&est)]);
-                    return;
-                }
-            }
         }
         if led {
             self.shared.cache.note_miss(shard);
@@ -760,14 +752,6 @@ impl Run {
     }
 }
 
-/// The winner inside an engine-rendered tune body.
-fn tune_winner(body: &str) -> Option<TuneEstimate> {
-    match protocol::parse_response(&finish_response(None, body)) {
-        Ok(protocol::Response::Tune { est, .. }) => Some(est),
-        _ => None,
-    }
-}
-
 /// A runner: answer one simulation off the request's work list, then —
 /// only while the list is non-empty — yield by re-enqueueing a
 /// continuation at the *back* of the pool FIFO, so a giant sweep cannot
@@ -776,7 +760,7 @@ fn tune_winner(body: &str) -> Option<TuneEstimate> {
 /// sacrificed to fairness.
 fn run_step(run: &Arc<Run>) {
     while let Some(sim) = run.next_sim() {
-        let outcome = run.simulate(&sim.items[0].work);
+        let outcome = run.simulate(&sim);
         run.finish(sim, &outcome);
         if run.list().sims.is_empty() {
             continue;

@@ -5,7 +5,8 @@
 //! a batch's sub-batches are all sent before any answer is read, and a
 //! connection's next line is forwarded before the previous answer is back.
 //! Failover under pipelining, prompt failover from a backend that refuses
-//! connections, shutdown of listeners bound to an unspecified address, a
+//! connections, failover of a line already sent to a backend that never
+//! answers, shutdown of listeners bound to an unspecified address, a
 //! prompt shutdown under a long health interval, and a health probe that
 //! gives up on a backend that never answers are pinned here too.
 
@@ -481,4 +482,52 @@ fn a_backend_that_never_answers_fails_its_health_probe() {
     assert_eq!(states[1], BreakerState::Open, "breakers: {states:?}");
     assert!(shut.is_ok(), "router shutdown took over 2 s");
     helper.join().expect("shutdown helper panicked");
+}
+
+#[test]
+fn a_line_sent_to_a_backend_that_never_answers_fails_over() {
+    // Bound but never accepting: the connect and the send complete in the
+    // kernel's buffers, and no answer ever comes back.
+    let silent = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let live = spawn(ServerConfig::default()).expect("spawn backend");
+    let live_addr = live.local_addr().to_string();
+    let router = spawn_router(RouterConfig {
+        backends: vec![
+            silent.local_addr().expect("silent addr").to_string(),
+            live_addr.clone(),
+        ],
+        health_interval: Duration::from_secs(60),
+        connect_timeout: Duration::from_millis(300),
+        ..RouterConfig::default()
+    })
+    .expect("spawn router");
+    let ring = HashRing::new(2, DEFAULT_VNODES);
+    let work = works(64)
+        .into_iter()
+        .find(|w| ring.route(&canonical_key(w)) == 0)
+        .expect("a key the silent backend owns");
+    let line = encode_estimate(&EstimateRequest {
+        id: Some("silent".to_owned()),
+        work,
+        deadline_ms: None,
+    });
+    // `served`'s answer, now cached there.
+    let want = pipelined(&live_addr, std::slice::from_ref(&line), 1);
+
+    // Ask on a helper thread, so that a router that waits on the silent
+    // backend for good fails the test instead of hanging it.
+    let addr = router.local_addr().to_string();
+    let (done, answered) = channel();
+    let helper = std::thread::spawn(move || {
+        done.send(pipelined(&addr, &[line], 1)).ok();
+    });
+    let got = answered
+        .recv_timeout(Duration::from_secs(2))
+        .expect("the line keyed to the silent backend was not answered within 2 s");
+    helper.join().expect("client helper panicked");
+    assert_eq!(got, want, "the answer must be the live backend's bytes");
+    let stats = router.shutdown();
+    live.shutdown();
+    assert!(stats.failovers >= 1, "no failover: {stats:?}");
+    drop(silent);
 }

@@ -11,13 +11,19 @@
 //! still in flight — while the second connection admits and joins.
 //!
 //! The same holds for the design-space search behind `"hw":"tuned"`: two
-//! first-time askers for one layer share one search.
+//! first-time askers for one layer share one search, and so do a plain
+//! `tune` op and a tuned conv of the same layer. The runner that searches
+//! stores the winner before it completes the flight, which is where the
+//! tuned conv that joined it reads the winner from.
 
 use iconv_api::table::workload_works;
-use iconv_serve::protocol::{encode_batch, encode_estimate, encode_tuned_estimate};
+use iconv_serve::engine::evaluate;
+use iconv_serve::protocol::{
+    encode_batch, encode_estimate, encode_tuned_estimate, finish_response, parse_response,
+};
 use iconv_serve::{
-    spawn, Client, EstimateRequest, ServerConfig, ServerHandle, TpuChip, TuneTarget, Work,
-    DEFAULT_CONNECT_TIMEOUT,
+    spawn, Client, EstimateRequest, Response, ServerConfig, ServerHandle, TpuChip, TuneTarget,
+    Work, DEFAULT_CONNECT_TIMEOUT,
 };
 use iconv_tensor::ConvShape;
 use iconv_tpusim::SimMode;
@@ -40,10 +46,11 @@ fn racing_work() -> Work {
     }
 }
 
-/// Spawn a single-worker server, load it with the runway, and race `line`
-/// from two fresh connections. Returns both replies, the runway length,
-/// and the handle (runway drained, so shutdown sees a quiet server).
-fn race_on_runway(line: &str) -> (String, String, u64, ServerHandle) {
+/// Spawn a single-worker server, load it with the runway, and race `line_a`
+/// and `line_b` from two fresh connections. Returns both replies, the
+/// runway length, and the handle (runway drained, so shutdown sees a quiet
+/// server).
+fn race_on_runway(line_a: &str, line_b: &str) -> (String, String, u64, ServerHandle) {
     let handle = spawn(ServerConfig {
         workers: 1,
         cache_capacity: 4096,
@@ -77,9 +84,9 @@ fn race_on_runway(line: &str) -> (String, String, u64, ServerHandle) {
     // connection B's handler then finds the flight open and joins it.
     let mut a = Client::connect_retry(&addr, DEFAULT_CONNECT_TIMEOUT).expect("connect");
     let mut b = Client::connect_retry(&addr, DEFAULT_CONNECT_TIMEOUT).expect("connect");
-    a.send_line(line).expect("send a");
+    a.send_line(line_a).expect("send a");
     a.flush().expect("flush a");
-    b.send_line(line).expect("send b");
+    b.send_line(line_b).expect("send b");
     b.flush().expect("flush b");
 
     let ra = a.recv_line().expect("a answered");
@@ -99,7 +106,7 @@ fn concurrent_misses_of_one_key_simulate_once() {
         work: racing_work(),
         deadline_ms: None,
     });
-    let (ra, rb, runway_n, handle) = race_on_runway(&line);
+    let (ra, rb, runway_n, handle) = race_on_runway(&line, &line);
     assert_eq!(ra, rb, "joiner must read the leader's exact bytes");
     assert!(ra.contains("\"ok\":true"), "the race must succeed: {ra}");
 
@@ -129,7 +136,7 @@ fn concurrent_misses_of_one_key_simulate_once() {
 fn concurrent_tuned_misses_of_one_layer_search_once() {
     let target = TuneTarget::Tpu { chip: TpuChip::V2 };
     let line = encode_tuned_estimate(None, &racing_shape(), &target, None);
-    let (ra, rb, _, handle) = race_on_runway(&line);
+    let (ra, rb, _, handle) = race_on_runway(&line, &line);
     assert_eq!(ra, rb, "joiner must read the leader's exact bytes");
     assert!(ra.contains("\"ok\":true"), "the race must succeed: {ra}");
 
@@ -138,6 +145,33 @@ fn concurrent_tuned_misses_of_one_layer_search_once() {
     // its own; without single-flight this reads tune_searches == 2.
     assert_eq!(stats.tune_searches, 1, "exactly one search for the layer");
     assert_eq!(stats.tune_cached, 1, "the joiner's resolve is cached");
+    assert_eq!(stats.tunes, stats.tune_searches + stats.tune_cached);
+    assert_eq!(stats.hits + stats.misses, stats.requests);
+}
+
+#[test]
+fn a_tuned_conv_and_a_tune_of_one_layer_search_once() {
+    let shape = racing_shape();
+    let target = TuneTarget::Tpu { chip: TpuChip::V2 };
+    let tune = encode_estimate(&EstimateRequest {
+        id: None,
+        work: Work::Tune { shape, target },
+        deadline_ms: None,
+    });
+    let tuned = encode_tuned_estimate(None, &shape, &target, None);
+    let (ra, rb, _, handle) = race_on_runway(&tune, &tuned);
+    let Ok(Response::Tune { est, .. }) = parse_response(&ra) else {
+        panic!("the tune must succeed: {ra}");
+    };
+    // The tuned conv answers with the bytes of the winner's own estimate.
+    let concrete = finish_response(None, &evaluate(&est.best.to_work(shape)));
+    assert_eq!(rb, concrete, "tuned conv vs the winner's concrete estimate");
+
+    let stats = handle.shutdown();
+    // Whichever line leads the search, the other joins it or reads the
+    // store; without single-flight this reads tune_searches == 2.
+    assert_eq!(stats.tune_searches, 1, "exactly one search for the layer");
+    assert_eq!(stats.tunes, 2, "the tune and the tuned conv's resolve");
     assert_eq!(stats.tunes, stats.tune_searches + stats.tune_cached);
     assert_eq!(stats.hits + stats.misses, stats.requests);
 }

@@ -16,10 +16,18 @@ use iconv_serve::client::RetryPolicy;
 use iconv_serve::protocol::{encode_estimate, encode_tuned_estimate};
 use iconv_serve::router::{spawn_router, RouterConfig};
 use iconv_serve::{
-    spawn, Client, EstimateRequest, Response, ServerConfig, TpuChip, TuneTarget, Work,
-    DEFAULT_CONNECT_TIMEOUT,
+    spawn, Client, Estimate, EstimateRequest, Response, ServerConfig, TpuChip, TuneEstimate,
+    TuneTarget, Work, DEFAULT_CONNECT_TIMEOUT,
 };
 use iconv_tensor::ConvShape;
+
+/// One `tune` op's search result.
+fn tune(c: &mut Client, shape: ConvShape, target: TuneTarget) -> TuneEstimate {
+    match c.estimate(&Work::Tune { shape, target }).expect("tune") {
+        Estimate::Tune(est) => est,
+        other => panic!("a tune answered {other:?}"),
+    }
+}
 
 fn shapes() -> Vec<ConvShape> {
     vec![
@@ -136,7 +144,7 @@ fn tuned_estimate_matches_the_concrete_work_it_denotes() {
     let addr = handle.local_addr().to_string();
     let mut c = Client::connect_retry(&addr, DEFAULT_CONNECT_TIMEOUT).expect("connect");
     for target in targets() {
-        let est = c.tune(&shape, target).expect("tune");
+        let est = tune(&mut c, shape, target);
         assert!(
             est.tuned_cycles <= est.default_cycles,
             "{target:?}: tuned {} > default {}",
@@ -225,7 +233,7 @@ fn tune_cache_file_survives_restart_and_rejects_corruption() {
     let handle = spawn(cfg()).expect("spawn cold");
     let addr = handle.local_addr().to_string();
     let mut c = Client::connect_retry(&addr, DEFAULT_CONNECT_TIMEOUT).expect("connect");
-    let cold = c.tune(&shape, target).expect("tune");
+    let cold = tune(&mut c, shape, target);
     let stats = handle.shutdown();
     assert_eq!(stats.tune_searches, 1);
     assert!(path.exists(), "shutdown must persist the tune store");
@@ -235,7 +243,7 @@ fn tune_cache_file_survives_restart_and_rejects_corruption() {
     let handle = spawn(cfg()).expect("spawn warm");
     let addr = handle.local_addr().to_string();
     let mut c = Client::connect_retry(&addr, DEFAULT_CONNECT_TIMEOUT).expect("connect");
-    let warm = c.tune(&shape, target).expect("warm tune");
+    let warm = tune(&mut c, shape, target);
     assert_eq!(warm, cold, "restart changed the tuned answer");
     let resp = c
         .call(&encode_tuned_estimate(Some("w"), &shape, &target, None))

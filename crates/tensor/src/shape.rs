@@ -188,7 +188,10 @@ impl ConvShapeBuilder {
     /// # Errors
     ///
     /// Returns [`ShapeError`] if any dimension, stride or dilation is zero,
-    /// or if the dilated filter does not fit into the padded input.
+    /// if the dilated filter does not fit into the padded input, or if a
+    /// count derived from the shape does not fit in a `usize`: an
+    /// effective filter extent, a padded input extent, a tensor or lowered
+    /// element count, the MACs or FLOPs, or a pass's GEMM product.
     pub fn build(self) -> Result<ConvShape, ShapeError> {
         let s = self.shape;
         let dims = [
@@ -209,19 +212,38 @@ impl ConvShapeBuilder {
                 return Err(ShapeError::new(format!("{name} must be non-zero")));
             }
         }
-        let eff_h = s.dil_h * (s.hf - 1) + 1;
-        let eff_w = s.dil_w * (s.wf - 1) + 1;
-        if s.hi + s.pad_h + s.pad_h_end < eff_h {
+        let overflows = |what: &str| ShapeError::new(format!("{what} overflows"));
+        let eff = |dil: usize, f: usize| dil.checked_mul(f - 1)?.checked_add(1);
+        let padded = |i: usize, lead: usize, trail: usize| i.checked_add(lead)?.checked_add(trail);
+        let eff_h = eff(s.dil_h, s.hf).ok_or_else(|| overflows("effective filter height"))?;
+        let eff_w = eff(s.dil_w, s.wf).ok_or_else(|| overflows("effective filter width"))?;
+        let padded_h =
+            padded(s.hi, s.pad_h, s.pad_h_end).ok_or_else(|| overflows("padded input height"))?;
+        let padded_w =
+            padded(s.wi, s.pad_w, s.pad_w_end).ok_or_else(|| overflows("padded input width"))?;
+        if padded_h < eff_h {
             return Err(ShapeError::new(format!(
-                "effective filter height {eff_h} exceeds padded input height {}",
-                s.hi + s.pad_h + s.pad_h_end
+                "effective filter height {eff_h} exceeds padded input height {padded_h}"
             )));
         }
-        if s.wi + s.pad_w + s.pad_w_end < eff_w {
+        if padded_w < eff_w {
             return Err(ShapeError::new(format!(
-                "effective filter width {eff_w} exceeds padded input width {}",
-                s.wi + s.pad_w + s.pad_w_end
+                "effective filter width {eff_w} exceeds padded input width {padded_w}"
             )));
+        }
+        // Every other count is a product of some of the factors of one of
+        // these two FLOP counts, each factor at least 1, so it fits when
+        // they do: forward and wgrad run `2·(N·Ho·Wo)·Co·(Hf·Wf·Ci)`, dgrad
+        // and transpose `2·(N·Hi·Wi)·Ci·(Hf·Wf·Co)`.
+        let flops = |rows: [usize; 3]| {
+            let factors = [2, rows[0], rows[1], rows[2], s.hf, s.wf, s.ci, s.co];
+            factors.iter().try_fold(1usize, |p, &f| p.checked_mul(f))
+        };
+        if flops([s.n, s.out_h(), s.out_w()]).is_none() {
+            return Err(overflows("forward FLOP count"));
+        }
+        if flops([s.n, s.hi, s.wi]).is_none() {
+            return Err(overflows("dgrad FLOP count"));
         }
         Ok(s)
     }
@@ -547,6 +569,31 @@ mod tests {
         assert!(ConvShape::new(1, 1, 2, 2, 1, 3, 3).build().is_err());
         // ...but fits with padding.
         assert!(ConvShape::new(1, 1, 2, 2, 1, 3, 3).pad(1).build().is_ok());
+    }
+
+    #[test]
+    fn counts_that_overflow_are_rejected() {
+        let rejects = |b: ConvShapeBuilder, what: &str| {
+            let err = b.build().expect_err(what).to_string();
+            assert!(err.contains(what), "{err}");
+        };
+        let tall = ConvShape::new(1, 1, usize::MAX, 8, 1, 1, 1).pad(1);
+        rejects(tall, "padded input height");
+        let wide = ConvShape::new(99_999_999, 99_999_999_999, 56, 56, 64, 3, 3).pad(1);
+        rejects(wide, "FLOP count");
+        let dilated = ConvShape::new(1, 1, 8, 8, 1, 3, 3).dilation(usize::MAX);
+        rejects(dilated, "effective filter height");
+        // dgrad's GEMM spans the input plane: a stride-4 layer fits forward
+        // with room to spare but overflows over `N·Hi·Wi`.
+        let n = (1usize << 63) / (64 * 64 * 9) + 1;
+        rejects(
+            ConvShape::new(n, 1, 64, 64, 1, 3, 3).stride(4),
+            "dgrad FLOP count",
+        );
+        assert!(ConvShape::new(n / 16, 1, 64, 64, 1, 3, 3)
+            .stride(4)
+            .build()
+            .is_ok());
     }
 
     #[test]

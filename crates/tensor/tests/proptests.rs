@@ -3,7 +3,7 @@
 
 use iconv_tensor::conv_ref::{direct_conv, filter_dims, ifmap_dims};
 use iconv_tensor::im2col::{conv_explicit, entry_coord, lower, output_to_row, row_to_output};
-use iconv_tensor::{ColumnOrder, ConvShape, Dims, Layout, Matrix, Tensor};
+use iconv_tensor::{ColumnOrder, ConvShape, Dims, Layout, Matrix, ShapeError, Tensor};
 use proptest::prelude::*;
 
 /// Random valid convolution shapes, kept small for test speed.
@@ -31,6 +31,37 @@ fn conv_shapes() -> impl Strategy<Value = ConvShape> {
                 .build()
                 .ok()
         })
+}
+
+/// Any `usize`: mostly 1–7, sometimes below a million, near `usize::MAX`
+/// or uniform, so that the products of a few fields land on both sides of
+/// overflow.
+fn any_field() -> impl Strategy<Value = usize> {
+    (0u32..16, 0usize..usize::MAX).prop_map(|(class, v)| match class {
+        0..=11 => 1 + v % 7,
+        12 | 13 => v % 1_000_000,
+        14 => usize::MAX - v % 4,
+        _ => v,
+    })
+}
+
+/// `ConvShapeBuilder::build` over any value in every field.
+fn any_build() -> impl Strategy<Value = Result<ConvShape, ShapeError>> {
+    let f = any_field;
+    (
+        (f(), f(), f(), f(), f(), f(), f()),
+        (f(), f(), f(), f(), f(), f(), f(), f()),
+    )
+        .prop_map(
+            |((n, ci, hi, wi, co, hf, wf), (sh, sw, ph, pw, phe, pwe, dh, dw))| {
+                ConvShape::new(n, ci, hi, wi, co, hf, wf)
+                    .stride_hw(sh, sw)
+                    .pad_hw(ph, pw)
+                    .pad_end_hw(phe, pwe)
+                    .dilation_hw(dh, dw)
+                    .build()
+            },
+        )
 }
 
 fn dims() -> impl Strategy<Value = Dims> {
@@ -234,6 +265,45 @@ proptest! {
         prop_assert_eq!(shape.flops(), 2 * (m * n * k) as u64);
         prop_assert_eq!(shape.lowered_elems(), m * k);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `build` never panics, whatever its fields hold, and a shape it
+    /// accepts has every derived count in range: this crate's accessors
+    /// and each pass's `2·M·N·K` (tests build with overflow checks on).
+    #[test]
+    fn build_never_panics(built in any_build()) {
+        if let Ok(s) = built {
+            let _ = (s.eff_hf(), s.eff_wf(), s.ifmap_elems(), s.filter_elems());
+            let _ = (s.ofmap_elems(), s.lowered_elems(), s.flops());
+            let (m, n, k) = s.gemm_mnk();
+            let _ = 2 * m * n * k;
+            let _ = 2 * (s.n * s.hi * s.wi) * s.ci * (s.hf * s.wf * s.co);
+        }
+    }
+}
+
+/// Non-proptest sanity: arbitrary fields build valid shapes and overflowing
+/// ones alike.
+#[test]
+fn any_build_covers_both_outcomes() {
+    use proptest::strategy::ValueTree;
+    use proptest::test_runner::TestRunner;
+    let mut runner = TestRunner::deterministic();
+    let (mut built, mut overflowed) = (0, 0);
+    for _ in 0..4096 {
+        match any_build().new_tree(&mut runner).unwrap().current() {
+            Ok(_) => built += 1,
+            Err(e) if e.to_string().contains("overflows") => overflowed += 1,
+            Err(_) => {}
+        }
+    }
+    assert!(
+        built >= 100 && overflowed >= 100,
+        "{built} built, {overflowed} overflowed"
+    );
 }
 
 /// Non-proptest sanity: the strategy actually generates strides/dilations.

@@ -11,7 +11,7 @@
 //! exceed default cycles. Each target's grid is validated and resolved
 //! once per process, one engine per distinct configuration, and a search
 //! calls those engines directly: its cycles are bit-identical to
-//! [`InProcessSource`] estimating each candidate on its own.
+//! [`estimate`] pricing each candidate on its own.
 //!
 //! Everything is deterministic: same `(shape, target)` in, byte-identical
 //! [`iconv_api::proto::TuneEstimate`] out. A search measures on the calling
@@ -27,11 +27,10 @@
 //! by `served --tune-cache` for warm boots and by `tunebench` for
 //! `BENCH_tune.json`.
 //!
-//! [`CycleSource`] (and [`InProcessSource`]) moved here from
-//! `iconv-bench`'s summary module so the bench runners and the serve
-//! engine measure through one trait, which answers `Work::Tune` by calling
-//! [`search::tune`]; `iconv-bench` re-exports them under the historical
-//! paths.
+//! [`estimate`] is the one evaluator of a [`iconv_api::Work`]: the serve
+//! engine renders its answer, [`InProcessSource`] (the bench runners'
+//! [`CycleSource`]) returns it, and it answers `Work::Tune` by calling
+//! [`search::tune`].
 
 #![warn(missing_docs)]
 
@@ -39,8 +38,8 @@ pub mod search;
 pub mod source;
 pub mod store;
 
-pub use iconv_api::proto::TuneEstimate;
+pub use iconv_api::proto::{Estimate, TuneEstimate};
 pub use iconv_api::{TuneTarget, TunedConfig};
 pub use search::{candidates, default_config, tune, tune_key, tune_work, ALL_TARGETS};
-pub use source::{CycleCount, CycleSource, InProcessSource};
+pub use source::{estimate, CycleSource, InProcessSource};
 pub use store::TuneCache;

@@ -129,7 +129,7 @@ fn grid(target: TuneTarget) -> &'static Grid {
 /// and the survivors are simulated in order on the calling thread, so two
 /// calls with the same `(shape, target)` return identical
 /// [`TuneEstimate`]s. Each survivor's cycles are exactly what
-/// [`crate::InProcessSource`] estimates for its work: the engines are the
+/// [`crate::estimate`] prices its work at: the engines are the
 /// same simulators over the same resolved configurations, and the GPU
 /// candidates share one [`ReuseFetches`], whose counts a lone estimate
 /// would compute the same way. Callers with many searches spread whole

@@ -7,7 +7,7 @@
 //!   resolved engine and normalized mode and simulates the survivors on
 //!   engines built once per target, sharing GPU fetch counts. Recomputing
 //!   the search with a set of rendered canonical keys and one fresh
-//!   `InProcessSource::estimate` per survivor gives the same `candidates`,
+//!   `estimate` per survivor gives the same `candidates`,
 //!   `pruned` and `best`, and bit-identical tuned and default cycles, on
 //!   random shapes and on every distinct paper shape.
 //!
@@ -20,9 +20,7 @@ use proptest::prelude::*;
 
 use iconv_api::{canonical_key, TpuChip, TuneTarget, TunedConfig};
 use iconv_tensor::ConvShape;
-use iconv_tune::{
-    candidates, tune, tune_key, CycleSource, InProcessSource, TuneCache, ALL_TARGETS,
-};
+use iconv_tune::{candidates, estimate, tune, tune_key, Estimate, TuneCache, ALL_TARGETS};
 
 /// Small-but-varied valid conv shapes (the tuner measures dozens of
 /// candidates per case, so keep each simulation cheap).
@@ -56,9 +54,8 @@ type Outcome = (u64, u64, TunedConfig, u64, u64);
 /// The outcome of a search whose alias pruning keeps a `BTreeSet` of
 /// rendered canonical keys — the string dedup `tune` used before it
 /// compared typed values — and which measures each survivor with its own
-/// fresh simulation through `InProcessSource::estimate`.
+/// fresh simulation through the evaluator, [`estimate`].
 fn string_dedup_search(shape: &ConvShape, target: TuneTarget) -> Outcome {
-    let src = InProcessSource::new();
     let mut seen = BTreeSet::new();
     let mut kept = Vec::new();
     let mut pruned = 0u64;
@@ -71,7 +68,11 @@ fn string_dedup_search(shape: &ConvShape, target: TuneTarget) -> Outcome {
     }
     let cycles: Vec<f64> = kept
         .iter()
-        .map(|cfg| src.estimate(&cfg.to_work(*shape)).as_f64())
+        .map(|cfg| match estimate(&cfg.to_work(*shape)) {
+            Estimate::Tpu(est) => est.cycles as f64,
+            Estimate::Gpu(est) => est.cycles,
+            Estimate::Tune(est) => panic!("a candidate priced as a search: {est:?}"),
+        })
         .collect();
     let mut best = 0usize;
     for (i, &c) in cycles.iter().enumerate() {
